@@ -124,13 +124,12 @@ fn bench_dscf_kernel(c: &mut Criterion) {
 
 /// The tiled-SoC block rate at the paper's platform scale (4 tiles,
 /// 256-point spectra, 127×127 DSCF, 8 integration steps per run): the
-/// cycle-accurate lockstep simulation vs the analytic fast path from raw
-/// samples (shared-plan FFT front-end + table-driven correlation) vs the
-/// spectra-fed entry point (`run_from_spectra` on precomputed spectra —
-/// the correlator cost in isolation, the way sweep rosters drive it).
-/// All three produce the same `SocRun` bit for bit; the quotient of the
-/// first two rows is the platform-path speedup the sweep engine inherits
-/// (the acceptance bar is ≥ 5×).
+/// cycle-accurate lockstep simulation vs the analytic path from raw
+/// samples (the DSCF engine's FFTs and accumulation plus the closed-form
+/// counters) vs the spectra-fed entry point (`run_from_spectra` on
+/// precomputed spectra — the correlator cost in isolation). All three
+/// produce the same `SocRun`; the quotient of the first two rows is the
+/// platform-path speedup the sweep engine inherits.
 fn bench_soc_block(c: &mut Criterion) {
     let mut group = c.benchmark_group("soc_block");
     group
@@ -188,15 +187,8 @@ fn bench_soc_block(c: &mut Criterion) {
     // The paper's 1K-word tile memories only hold the 127×127 slice, so the
     // wideband platforms provision each memory at 64K words (the per-tile
     // accumulator slab is `T·F` complex entries across M01–M08).
-    //
-    // Unit-stride record (PR 7, this container, back-to-back
-    // min-of-batches at 511×511/8 blocks): `analytic_from_spectra` went
-    // from 4997 µs (PR-5 per-point gather) to 2465 µs, `analytic` (raw
-    // samples) from 5078 µs to 2599 µs — ~2× end to end, with blocks 1–4
-    // fusing into one register-blocked pass so the ratio grows with
-    // integration depth. Both the old and new paths end at the same
-    // DRAM-bound P×F gather, which bounds the end-to-end ratio well below
-    // the accumulate-phase ratio on this 1-core VM.
+    // The analytic rows run `ScfEngine::dscf_from_spectra_into`, so they
+    // track the `dscf_kernel` rows at the same scale.
     for (label, fft_len, max_offset) in [("511x511", 1024usize, 255usize), ("1023x1023", 2048, 511)]
     {
         let tile = montium_sim::MontiumConfig {

@@ -117,11 +117,9 @@ pub struct Platform {
     pub tile: MontiumConfig,
     /// Simulation execution mode.
     pub mode: ExecutionMode,
-    /// Worker threads of the analytic fast path (`1` = serial reference,
-    /// `0` = one per available core); forwarded to
-    /// [`SocConfig::analytic_threads`] and further capped by the
-    /// process-wide analytic thread budget. Bit-identical results at every
-    /// value.
+    /// Has no effect. The analytic platform runs the single-threaded DSCF
+    /// engine, so there is no per-tile fan-out left to size; the field
+    /// stays only so existing struct literals keep compiling.
     pub soc_threads: usize,
 }
 
@@ -129,9 +127,9 @@ impl Platform {
     /// The AAF platform of the paper: 4 Montium tiles at 100 MHz.
     ///
     /// The execution mode defaults to [`ExecutionMode::Analytic`] — the
-    /// fast path that produces the same `SocRun` (bit-identical DSCF,
-    /// equal cycle/transfer counters) without per-cycle simulation, which
-    /// is what Monte-Carlo sweeps want. Use
+    /// DSCF engine plus the closed-form cost model, which produces the
+    /// same `SocRun` (equal DSCF, equal cycle/transfer counters) without
+    /// per-cycle simulation, which is what Monte-Carlo sweeps want. Use
     /// `.with_mode(ExecutionMode::Lockstep)` (or `Threaded`) for the
     /// cycle-accurate golden-reference simulation.
     pub fn paper() -> Self {
@@ -158,20 +156,12 @@ impl Platform {
         self
     }
 
-    /// Sets the analytic fast path's worker-thread request (`0` = one per
-    /// available core; see [`Platform::soc_threads`]).
-    pub fn with_soc_threads(mut self, soc_threads: usize) -> Self {
-        self.soc_threads = soc_threads;
-        self
-    }
-
     /// The equivalent SoC configuration.
     pub fn soc_config(&self) -> SocConfig {
         SocConfig::paper()
             .with_tiles(self.cores)
             .with_tile_config(self.tile.clone())
             .with_mode(self.mode)
-            .with_analytic_threads(self.soc_threads)
     }
 }
 
@@ -209,9 +199,6 @@ mod tests {
         let p8 = Platform::with_cores(8).with_mode(ExecutionMode::Threaded);
         assert_eq!(p8.soc_config().num_tiles, 8);
         assert_eq!(p8.mode, ExecutionMode::Threaded);
-        assert_eq!(platform.soc_threads, 1);
-        let pt = Platform::paper().with_soc_threads(3);
-        assert_eq!(pt.soc_config().analytic_threads, 3);
     }
 
     #[test]

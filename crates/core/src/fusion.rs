@@ -435,6 +435,17 @@ mod tests {
     use cfd_dsp::scf::ScfParams;
     use cfd_dsp::signal::{awgn, SignalBuilder, SymbolModulation};
 
+    /// Serialises the tests that decide through a `FusionCenter`: the
+    /// `fusion.*` counters are process-global, so without it
+    /// `fusion_counters_accumulate` would count sibling tests' decisions.
+    static FLEET_DECISIONS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serialised() -> std::sync::MutexGuard<'static, ()> {
+        FLEET_DECISIONS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn params() -> ScfParams {
         ScfParams::new(32, 7, 16).unwrap()
     }
@@ -471,6 +482,7 @@ mod tests {
 
     #[test]
     fn hard_rules_count_votes() {
+        let _serial = serialised();
         // Mixed thresholds make the members disagree on a mid-SNR
         // observation: a permissive, a moderate and an impossible one.
         let fleet = |rule| {
@@ -494,6 +506,7 @@ mod tests {
 
     #[test]
     fn soft_combining_sums_member_statistics() {
+        let _serial = serialised();
         let mut solo = cfd(0.35);
         let mut observation = Observation::from_samples(busy(8.0, 4));
         let single = solo.decide(&mut observation).unwrap();
@@ -521,6 +534,7 @@ mod tests {
 
     #[test]
     fn impaired_members_see_deterministic_realisations() {
+        let _serial = serialised();
         // An overlay that adds seeded noise: the same observation must
         // meet the same realisation on every replica, so decisions agree
         // between a fusion center and its clone (the sweep-worker case).
@@ -550,6 +564,7 @@ mod tests {
 
     #[test]
     fn member_realisations_differ_across_members() {
+        let _serial = serialised();
         // Both members carry the same overlay closure, but their indices
         // salt the seed: a fragile (high-threshold) pair would otherwise
         // always vote identically. Statistics must differ.
@@ -578,6 +593,7 @@ mod tests {
 
     #[test]
     fn fusion_center_is_its_own_recipe() {
+        let _serial = serialised();
         fn recipe_label<R: BackendRecipe>(recipe: &R) -> String {
             recipe.label()
         }
@@ -592,6 +608,7 @@ mod tests {
 
     #[test]
     fn clean_members_share_the_observation_caches() {
+        let _serial = serialised();
         let mut fleet = FusionCenter::new(FusionRule::And)
             .with_member(cfd(0.2))
             .with_member(cfd(0.3))
@@ -605,6 +622,7 @@ mod tests {
 
     #[test]
     fn fusion_counters_accumulate() {
+        let _serial = serialised();
         let decisions_before = cfd_telemetry::counter("fusion.decisions").value();
         let members_before = cfd_telemetry::counter("fusion.member_decisions").value();
         let mut fleet = FusionCenter::new(FusionRule::Or)

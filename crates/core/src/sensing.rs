@@ -118,7 +118,7 @@ impl SpectrumSensor {
 
     /// Whether this sensor's platform produces the same decisions from
     /// software-computed block spectra as from raw samples: true for the
-    /// analytic fast path (which `TiledSoc` only constructs for the
+    /// analytic platform (which `TiledSoc` only constructs for the
     /// full-precision datapath — Analytic + Q15 is refused up front). The
     /// simulating modes compute their spectra on-tile by design, so they
     /// read raw samples. The Q15 check is defensive should that
@@ -146,6 +146,25 @@ impl SpectrumSensor {
         self.soc.reset();
         let run = self.soc.run_from_spectra(spectra)?;
         Ok(self.detector.detect_from_scf(&run.scf))
+    }
+
+    /// One decision from the observation's shared cyclic profile — the
+    /// DSCF a [`CyclostationaryDetector`] at the same [`ScfParams`] reads,
+    /// computed at most once per observation — with the platform's
+    /// closed-form cost booked for the application's blocks. Returns the
+    /// outcome and the critical-path cycles. For an analytic
+    /// full-precision platform this is exactly what
+    /// [`SpectrumSensor::decide`] computes from the raw samples: the
+    /// analytic SoC's DSCF *is* the engine's.
+    ///
+    /// [`ScfParams`]: cfd_dsp::scf::ScfParams
+    fn decide_shared(
+        &self,
+        observation: &mut Observation,
+    ) -> Result<(DetectionOutcome, u64), CfdError> {
+        let profile = observation.cyclic_profile_for(self.detector.engine())?;
+        let outcome = self.detector.detect_from_profile(profile);
+        Ok((outcome, self.soc.book_blocks(self.application.num_blocks)))
     }
 
     /// Scenario-driven entry point: takes one decision on the simulated
@@ -192,16 +211,15 @@ impl SensingBackend for SpectrumSensor {
     }
 
     /// One decision through the unified surface: an analytic
-    /// full-precision platform consumes the observation's cached software
-    /// spectra (one FFT per trial for the whole roster), a simulating or
-    /// Q15 platform computes its own on-tile spectra from the raw samples.
-    /// Either way the decision is identical to [`SpectrumSensor::decide`]
-    /// on the raw samples.
+    /// full-precision platform decides from the observation's shared DSCF
+    /// (one accumulate per trial for the whole roster) and books its
+    /// closed-form cost; a simulating or Q15 platform computes its own
+    /// on-tile spectra from the raw samples. Either way the decision is
+    /// identical to [`SpectrumSensor::decide`] on the raw samples.
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
         let _span = cfd_telemetry::span("core.decide.cfd_soc_ns");
         let outcome = if self.shares_software_spectra() {
-            let spectra = observation.spectra_for(self.engine())?;
-            self.decide_from_spectra(spectra)?
+            self.decide_shared(observation)?.0
         } else {
             SpectrumSensor::decide(self, observation.samples())?
         };
@@ -323,14 +341,20 @@ impl SensingSession {
         self.sensor.shares_software_spectra()
     }
 
-    /// Books one processed decision into the session totals and thresholds
-    /// the gathered DSCF — shared tail of the raw-sample and spectra-fed
-    /// paths, which differ only in how `self.scratch` was filled.
+    /// Books one processed decision of `blocks` integration steps and
+    /// `cycles` critical-path cycles into the session totals.
+    fn account(&mut self, blocks: usize, cycles: u64) {
+        self.decisions += 1;
+        self.total_blocks += blocks as u64;
+        self.total_critical_cycles += cycles;
+    }
+
+    /// Accounts the run in `self.scratch` and thresholds its DSCF — shared
+    /// tail of the raw-sample and spectra-fed paths, which differ only in
+    /// how the scratch run was filled.
     fn account_scratch(&mut self) -> (DetectionOutcome, u64) {
         let cycles = self.scratch.max_tile_cycles();
-        self.decisions += 1;
-        self.total_blocks += self.scratch.blocks as u64;
-        self.total_critical_cycles += cycles;
+        self.account(self.scratch.blocks, cycles);
         (
             self.sensor.detector.detect_from_scf(&self.scratch.scf),
             cycles,
@@ -351,7 +375,7 @@ impl SensingSession {
     }
 
     /// One decision from externally computed block spectra, streamed
-    /// through the platform's spectra-fed fast path with the same session
+    /// through the platform's spectra-fed analytic path with the same session
     /// accounting as [`SensingSession::decide`] (see
     /// [`SpectrumSensor::decide_from_spectra`]).
     ///
@@ -435,14 +459,15 @@ impl SensingBackend for SensingSession {
     /// One decision plus the usual session accounting (the decision counts
     /// toward [`SensingSession::decisions`] and the session totals). Like
     /// [`SpectrumSensor`]'s backend impl, an analytic full-precision
-    /// platform consumes the observation's cached software spectra; the
-    /// returned decision carries the session's accumulated
-    /// [`PlatformMetrics`].
+    /// platform decides from the observation's shared DSCF and books the
+    /// closed-form cost; the returned decision carries the session's
+    /// accumulated [`PlatformMetrics`].
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
         let _span = cfd_telemetry::span("core.decide.cfd_soc_ns");
         let outcome = if self.shares_software_spectra() {
-            let spectra = observation.spectra_for(self.sensor.engine())?;
-            self.decide_from_spectra(spectra)?
+            let (outcome, cycles) = self.sensor.decide_shared(observation)?;
+            self.account(self.sensor.application.num_blocks, cycles);
+            outcome
         } else {
             SensingSession::decide(self, observation.samples())?
         };
@@ -610,7 +635,7 @@ mod tests {
 
     #[test]
     fn spectra_fed_decisions_match_raw_sample_decisions() {
-        // The spectra-fed fast path must reproduce the raw-sample decision
+        // The spectra-fed path must reproduce the raw-sample decision
         // (and its statistic) exactly: same DSCF, same cycle accounting.
         let mut via_samples = SensingSession::from_sensor(sensor());
         let mut via_spectra = SensingSession::from_sensor(sensor());
@@ -631,7 +656,7 @@ mod tests {
 
     #[test]
     fn analytic_sensor_matches_the_lockstep_golden_reference() {
-        // Platform::paper() now defaults to the analytic fast path; the
+        // Platform::paper() defaults to the analytic platform; the
         // cycle-accurate simulation stays available behind with_mode and
         // must report the identical statistic, metrics and counters.
         let application = CfdApplication::new(32, 7, 16).unwrap();
@@ -669,6 +694,19 @@ mod tests {
         let batch = session.decide_batch(&[good.as_slice()]).unwrap();
         assert_eq!(batch.outcomes.len(), 1);
         assert_eq!(session.configurations(), 1);
+    }
+
+    #[test]
+    fn analytic_backends_refuse_a_short_observation() {
+        // Too few samples is a structured error, never a verdict — on the
+        // shared-DSCF path of both analytic SoC backends.
+        let mut short = Observation::from_samples(observation(true, 5.0, 100, 3));
+        let mut sensor = sensor();
+        assert!(sensor.shares_software_spectra());
+        assert!(SensingBackend::decide(&mut sensor, &mut short).is_err());
+        let mut session = SensingSession::from_sensor(sensor);
+        assert!(SensingBackend::decide(&mut session, &mut short).is_err());
+        assert_eq!(session.decisions(), 0);
     }
 
     #[test]

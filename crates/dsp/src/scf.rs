@@ -1043,14 +1043,12 @@ fn mac_segment_avx512(
     mac_segment_body(ar, ai, x_re, x_im, y_re, y_im, k, xs, ys, init);
 }
 
-/// Hidden crate-sharing hook: the tiled SoC's analytic fast path reuses
-/// the engine's unit-stride MAC kernel (and its runtime vector-tier
-/// dispatch) for its own per-tile segment decomposition. Not part of the
-/// public API surface — the layout contract (`k`-bin SoA planes, segment
-/// windows in bounds) is the caller's to uphold and panics on violation.
-#[doc(hidden)]
+/// The unit-stride MAC kernel behind the per-block accumulation, with its
+/// runtime vector-tier dispatch. The layout contract (`k`-bin SoA planes,
+/// segment windows in bounds) is the caller's to uphold and panics on
+/// violation.
 #[allow(clippy::too_many_arguments)]
-pub fn mac_segment_blocks(
+fn mac_segment_blocks(
     ar: &mut [f64],
     ai: &mut [f64],
     x_re: &[f64],

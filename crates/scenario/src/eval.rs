@@ -36,8 +36,8 @@
 //! decide through it: the spectra **and** the integrated DSCF are computed
 //! **once per trial** per distinct `ScfParams` and cached inside the
 //! observation, where every golden-model CFD replica — and every analytic
-//! full-precision SoC replica, via its spectra-fed correlator — reuses
-//! them. The energy detector's statistic is time-domain power (it never
+//! full-precision SoC replica, which decides from the shared DSCF and
+//! books its closed-form cost — reuses them. The energy detector's statistic is time-domain power (it never
 //! ran an FFT), and a simulating (`Lockstep`/`Threaded`) or Q15 SoC
 //! replica computes its own on-tile spectra by design — those read the raw
 //! samples. The global `core.observation.spectra_computations` counter in
@@ -488,12 +488,6 @@ fn sweep_over_recipes(
     // process.
     let total_cells = (points + 1) * sweep.trials.div_ceil(chunk);
     let workers = workers.min(total_cells);
-    // Replicas may themselves fan the analytic SoC accumulation over
-    // threads (`Platform::soc_threads`); cap that per-replica fan-out so
-    // `workers x soc_threads` never oversubscribes the host. The counts
-    // stay bit-identical at every budget.
-    let parallelism = default_workers();
-    cfd_core::set_analytic_thread_budget((parallelism / workers).max(1));
     let instruments = sweep_instruments();
     instruments.workers.set(workers as f64);
     let _run_span = instruments.run_ns.start_timer();
@@ -596,9 +590,6 @@ fn sweep_serial_over_recipes(
     recipes: &[&dyn BackendRecipe],
 ) -> Result<RocTable, ScenarioError> {
     let labels = recipe_labels(recipes);
-    // A serial sweep has no worker fan-out of its own, so an analytic SoC
-    // replica may use the host's full parallelism.
-    cfd_core::set_analytic_thread_budget(usize::MAX);
     let instruments = sweep_instruments();
     instruments.workers.set(1.0);
     let _run_span = instruments.run_ns.start_timer();

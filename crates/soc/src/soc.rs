@@ -7,32 +7,28 @@
 //! between tiles once per frequency step (a rate `T` times lower than the
 //! multiply–accumulate rate, as the paper argues).
 //!
-//! Three execution modes produce identical results:
+//! Three execution modes produce the same [`SocRun`]:
 //!
 //! * **lockstep** — all tiles advance one frequency step at a time in a
 //!   single thread (deterministic; the cycle-accurate golden reference);
 //! * **threaded** — one thread per tile, inter-tile streams carried by
 //!   crossbeam channels;
-//! * **analytic** — the fast path: no sequencer, ALU or register-file
-//!   machinery is stepped at all. Each tile's folded accumulation is
-//!   decomposed at configure time into the contiguous runs on which both
-//!   spectral operands advance at unit stride (they are consecutive modulo
-//!   `K`), and executed as slice passes through the `cfd-dsp` engine's
-//!   SIMD-dispatched MAC kernel over staged SoA spectrum planes; the
-//!   cycle/transfer/source counters come from the closed-form model
-//!   ([`montium_sim::kernels::analytic_step_cycles`] plus the
-//!   deterministic per-block stream volumes) — every counter the
-//!   simulation would have produced, without the per-cycle walk. Tiles are
-//!   independent until the final gather, so the accumulation optionally
-//!   fans out over a scoped worker pool
-//!   ([`crate::config::SocConfig::analytic_threads`], capped by the
-//!   process-wide [`analytic_thread_budget`]) with bit-identical results
-//!   at every thread count. The DSCF is bit-identical to the simulating
-//!   modes and the counters equal (pinned by `tests/soc_fast_path.rs`).
-//!   [`TiledSoc::run_from_spectra`] additionally accepts externally
-//!   computed block spectra, so sweep engines that already share spectra
-//!   across detector replicas feed them straight into the correlator — one
-//!   FFT per trial for the whole roster.
+//! * **analytic** — the model of what the hardware computes, without
+//!   stepping it. The platform evaluates exactly eq. 3, so the DSCF comes
+//!   from the `cfd-dsp` [`ScfEngine`], and every counter comes from the
+//!   closed-form cost model:
+//!   [`montium_sim::kernels::analytic_step_cycles`] per tile and block,
+//!   `2·(Q−1)·(F−1)` inter-tile transfers and `2·(F−1)` source inputs per
+//!   block. DSCF values and counters equal the simulating modes' (pinned
+//!   by `tests/soc_fast_path.rs`); the only bit-level difference is the
+//!   sign of an exactly-zero imaginary part in the engine's mirrored
+//!   `a < 0` half.
+//!
+//! [`TiledSoc::run_from_spectra`] feeds externally computed block spectra
+//! to the analytic path (no FFT at all), and [`TiledSoc::book_blocks`]
+//! books the closed-form cost alone for callers that already hold the DSCF
+//! — a sensing backend deciding from an `Observation`'s shared matrix pays
+//! for no second accumulation.
 
 use crate::config::{ExecutionMode, SocConfig};
 use crate::error::SocError;
@@ -41,9 +37,10 @@ use crate::power::PlatformMetrics;
 use crate::tile::{Tile, TileCycleBreakdown};
 use cfd_dsp::complex::Cplx;
 use cfd_dsp::error::DspError;
-use cfd_dsp::fft::cached_plan;
-use cfd_dsp::scf::{centred_bin, ScfMatrix};
+use cfd_dsp::scf::{ScfEngine, ScfMatrix, ScfParams};
 use cfd_mapping::folding::Folding;
+use montium_sim::kernels::{analytic_step_cycles, IntegrationStepCycles, TileTaskSet};
+use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Cached handles to the SoC run instruments: stage histograms for the
@@ -59,7 +56,6 @@ struct SocInstruments {
     runs_spectra_fed: cfd_telemetry::Counter,
     critical_cycles: cfd_telemetry::Gauge,
     energy_per_block_uj: cfd_telemetry::Gauge,
-    analytic_threads: cfd_telemetry::Gauge,
 }
 
 fn instruments() -> &'static SocInstruments {
@@ -73,32 +69,8 @@ fn instruments() -> &'static SocInstruments {
         runs_spectra_fed: cfd_telemetry::counter("soc.runs.spectra_fed"),
         critical_cycles: cfd_telemetry::gauge("soc.run.critical_cycles"),
         energy_per_block_uj: cfd_telemetry::gauge("soc.run.energy_per_block_uj"),
-        analytic_threads: cfd_telemetry::gauge("soc.analytic.threads"),
     })
 }
-
-/// Process-wide cap on the analytic fast path's worker threads, shared by
-/// every [`TiledSoc`] in the process. Sweep engines that already fan
-/// trials over worker threads lower this before building their detector
-/// replicas so `sweep workers × SoC threads` never oversubscribes the
-/// host; the default (`usize::MAX`) leaves [`SocConfig::analytic_threads`]
-/// in sole control. Stored with a floor of 1 — a budget can throttle the
-/// fan-out to serial, never forbid the accumulation itself.
-static ANALYTIC_THREAD_BUDGET: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(usize::MAX);
-
-/// Sets the process-wide analytic worker-thread budget (clamped to ≥ 1).
-pub fn set_analytic_thread_budget(threads: usize) {
-    ANALYTIC_THREAD_BUDGET.store(threads.max(1), std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current process-wide analytic worker-thread budget.
-pub fn analytic_thread_budget() -> usize {
-    ANALYTIC_THREAD_BUDGET.load(std::sync::atomic::Ordering::Relaxed)
-}
-use montium_sim::kernels::{analytic_step_cycles, IntegrationStepCycles, TileTaskSet};
-use montium_sim::MontiumConfig;
-use serde::{Deserialize, Serialize};
 
 /// The result of running one or more integration steps on the platform.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -127,157 +99,8 @@ impl SocRun {
 
     /// The critical-path cycles per block.
     pub fn cycles_per_block(&self) -> u64 {
-        if self.blocks == 0 {
-            0
-        } else {
-            self.max_tile_cycles() / self.blocks as u64
-        }
-    }
-}
-
-/// One contiguous run of a task row's folded accumulation: for
-/// `i ∈ 0..len`, accumulator `acc[j·F + out + i]` takes
-/// `X[plus + i] · conj(X[minus + i])` — both operands advance through the
-/// spectrum at unit stride.
-#[derive(Debug, Clone, Copy)]
-struct TileSegment {
-    /// First frequency step of the run within the task row.
-    out: u32,
-    /// Steps in the run.
-    len: u32,
-    /// Spectral bin of the direct operand at the first step.
-    plus: u32,
-    /// Spectral bin of the conjugated operand at the first step.
-    minus: u32,
-}
-
-/// The precomputed fast path of one tile, derived from its [`TileTaskSet`]
-/// when the platform is configured.
-///
-/// The folded multiply–accumulate of Fig. 11 touches, for local task `j`
-/// at frequency step `s`, the spectral bins `f + a` (direct flow) and
-/// `f − a` (conjugate flow) with `f = s − M`, `a = first_task + j − M` —
-/// pure geometry, and both index sequences are *consecutive modulo `K`*
-/// in `s`. Instead of tabulating every `centred_bin` lookup (the PR-5
-/// gather tables), each task row is decomposed once into the at most
-/// three maximal runs on which neither operand wraps, so an integration
-/// step becomes unit-stride slice passes through the shared
-/// [`cfd_dsp::scf::mac_segment_blocks`] kernel over split re/im planes —
-/// the engine's own SIMD-dispatched accumulation applied to the tile's
-/// task slice. The arithmetic per point is the exact split form of
-/// `X_{f+a} · conj(X_{f−a})` the tile ALU evaluates, blocks strictly
-/// ascending per accumulator, which is what keeps the fast path
-/// bit-identical to the simulation at any thread count.
-#[derive(Debug)]
-struct AnalyticTile {
-    /// First task of this tile in the initial array (the DSCF column base).
-    first_task: usize,
-    /// Tasks that compute on this tile (0 for an idle tile of an uneven
-    /// folding — no segments, nothing to accumulate).
-    active_tasks: usize,
-    /// Frequency steps per block, `F = 2M + 1`.
-    f_count: usize,
-    /// The wrap-cut runs of all task rows, row-major.
-    segments: Vec<TileSegment>,
-    /// `row_bounds[j]..row_bounds[j + 1]` indexes row `j`'s segments.
-    row_bounds: Vec<u32>,
-    /// Unnormalised accumulators `acc[j·F + s]` (real parts), mirroring
-    /// M01–M08.
-    acc_re: Vec<f64>,
-    /// Imaginary parts of the accumulators.
-    acc_im: Vec<f64>,
-    /// Lazy reset: instead of streaming zeros through the (megabytes at
-    /// wideband scales) accumulator slab, [`TiledSoc::reset`] raises this
-    /// flag and the next accumulation's first pass *writes* through the
-    /// init chain — bitwise identical to accumulating onto zeroed memory.
-    needs_clear: bool,
-    /// The closed-form per-block cycle breakdown of this tile.
-    step: IntegrationStepCycles,
-}
-
-impl AnalyticTile {
-    fn new(config: &MontiumConfig, task_set: &TileTaskSet) -> Self {
-        let f_count = task_set.num_frequencies();
-        let t = task_set.active_tasks;
-        let k = task_set.fft_len;
-        let mut segments = Vec::with_capacity(3 * t);
-        let mut row_bounds = Vec::with_capacity(t + 1);
-        row_bounds.push(0u32);
-        for j in 0..t {
-            // Cut the row wherever either operand's bin sequence wraps
-            // past K: within a run both are consecutive, so only the
-            // first step of each run needs a `centred_bin`.
-            let mut s = 0usize;
-            while s < f_count {
-                let plus = centred_bin(task_set.direct_index(j, s), k);
-                let minus = centred_bin(task_set.conjugate_index(j, s), k);
-                let len = (k - plus).min(k - minus).min(f_count - s);
-                segments.push(TileSegment {
-                    out: s as u32,
-                    len: len as u32,
-                    plus: plus as u32,
-                    minus: minus as u32,
-                });
-                s += len;
-            }
-            row_bounds.push(segments.len() as u32);
-        }
-        AnalyticTile {
-            first_task: task_set.first_task,
-            active_tasks: t,
-            f_count,
-            segments,
-            row_bounds,
-            acc_re: vec![0.0; t * f_count],
-            acc_im: vec![0.0; t * f_count],
-            needs_clear: false,
-            step: analytic_step_cycles(config, task_set),
-        }
-    }
-
-    /// Accumulates every staged block (SoA spectrum planes of
-    /// `spec_re.len() / k` blocks) into this tile's task slice. After a
-    /// lazy reset the first pass writes instead of accumulating (same
-    /// bits, no clearing traffic); with zero staged blocks nothing runs
-    /// and a pending clear stays pending.
-    fn accumulate_blocks(&mut self, spec_re: &[f64], spec_im: &[f64], k: usize) {
-        if spec_re.len() < k {
-            return;
-        }
-        let init = self.needs_clear;
-        self.needs_clear = false;
-        for j in 0..self.active_tasks {
-            let base = j * self.f_count;
-            let bounds = self.row_bounds[j] as usize..self.row_bounds[j + 1] as usize;
-            for seg in &self.segments[bounds] {
-                let ar = &mut self.acc_re[base + seg.out as usize..][..seg.len as usize];
-                let ai = &mut self.acc_im[base + seg.out as usize..][..seg.len as usize];
-                cfd_dsp::scf::mac_segment_blocks(
-                    ar,
-                    ai,
-                    spec_re,
-                    spec_im,
-                    spec_re,
-                    spec_im,
-                    k,
-                    seg.plus as usize,
-                    seg.minus as usize,
-                    init,
-                );
-            }
-        }
-    }
-
-    /// The Table-1-shaped breakdown after `blocks` integration steps.
-    fn cycle_breakdown(&self, tile: usize, blocks: u64) -> TileCycleBreakdown {
-        TileCycleBreakdown {
-            tile,
-            multiply_accumulate: blocks * self.step.multiply_accumulate,
-            read_data: blocks * self.step.read_data,
-            fft: blocks * self.step.fft,
-            reshuffling: blocks * self.step.reshuffling,
-            initialisation: blocks * self.step.initialisation,
-        }
+        let blocks = self.blocks as u64;
+        self.max_tile_cycles().checked_div(blocks).unwrap_or(0)
     }
 }
 
@@ -289,22 +112,23 @@ pub struct TiledSoc {
     fft_len: usize,
     folding: Folding,
     tiles: Vec<Tile>,
-    /// The fast path, one entry per tile (built whatever the mode — it is
-    /// also the backing of [`TiledSoc::run_from_spectra`]).
-    analytic: Vec<AnalyticTile>,
+    /// The closed-form per-block cycle breakdown of each tile.
+    steps: Vec<IntegrationStepCycles>,
+    /// The eq.-3 engine of the analytic path (rectangular window,
+    /// non-overlapping blocks: the platform's configuration).
+    engine: ScfEngine,
+    /// Block spectra the analytic path integrated since the last reset:
+    /// the first `blocks_analytic` entries are live, the rest are kept
+    /// allocations.
+    spectra: Vec<Vec<Cplx>>,
     /// Blocks accumulated through the cycle-accurate tiles since the last
     /// reset.
     blocks_simulated: usize,
-    /// Blocks accumulated through the fast path since the last reset.
+    /// Blocks integrated through the analytic path since the last reset.
     blocks_analytic: usize,
-    /// Reusable FFT buffer of the analytic `run` front-end.
-    fft_scratch: Vec<Cplx>,
-    /// Staged real parts of the current run's block spectra (SoA planes of
-    /// `blocks × fft_len`, reused across runs) — the unit-stride operands
-    /// of the analytic accumulation.
-    spec_re: Vec<f64>,
-    /// Staged imaginary parts of the block spectra.
-    spec_im: Vec<f64>,
+    /// Whether a simulated run touched the tiles since the last reset. Set
+    /// when the run starts, so an errored run is cleared too.
+    tiles_dirty: bool,
     inter_tile_transfers: u64,
     source_inputs: u64,
     configurations: u64,
@@ -338,25 +162,26 @@ impl TiledSoc {
         let p = 2 * max_offset + 1;
         let folding = Folding::new(p, config.num_tiles)?;
         let mut tiles = Vec::with_capacity(config.num_tiles);
-        let mut analytic = Vec::with_capacity(config.num_tiles);
+        let mut steps = Vec::with_capacity(config.num_tiles);
         for q in 0..config.num_tiles {
             let task_set = TileTaskSet::new(&folding, q, max_offset, fft_len)
                 .map_err(|e| crate::error::tile_error(q, e))?;
-            analytic.push(AnalyticTile::new(&config.tile, &task_set));
+            steps.push(analytic_step_cycles(&config.tile, &task_set));
             tiles.push(Tile::new(q, config.tile.clone(), task_set)?);
         }
+        let engine = ScfEngine::new(ScfParams::new(fft_len, max_offset, 1)?)?;
         Ok(TiledSoc {
             config,
             max_offset,
             fft_len,
             folding,
             tiles,
-            analytic,
+            steps,
+            engine,
+            spectra: Vec::new(),
             blocks_simulated: 0,
             blocks_analytic: 0,
-            fft_scratch: Vec::with_capacity(fft_len),
-            spec_re: Vec::new(),
-            spec_im: Vec::new(),
+            tiles_dirty: false,
             inter_tile_transfers: 0,
             source_inputs: 0,
             configurations: 1,
@@ -411,10 +236,9 @@ impl TiledSoc {
     /// non-overlapping blocks of `fft_len` samples) and returns the
     /// accumulated DSCF plus the platform statistics.
     ///
-    /// In [`ExecutionMode::Analytic`] the block spectra come from the
-    /// shared per-thread [`cached_plan`] FFT and the correlation runs
-    /// through the precomputed fast path; the result is the same `SocRun`
-    /// the simulating modes produce.
+    /// In [`ExecutionMode::Analytic`] the block spectra and the DSCF come
+    /// from the [`ScfEngine`] and the counters from the closed-form cost
+    /// model; the result is the same `SocRun` the simulating modes produce.
     ///
     /// # Errors
     ///
@@ -449,7 +273,8 @@ impl TiledSoc {
                 available: signal.len(),
             }));
         }
-        self.check_path(self.config.mode == ExecutionMode::Analytic)?;
+        let analytic = self.config.mode == ExecutionMode::Analytic;
+        self.check_path(analytic)?;
         let instruments = instruments();
         let _span = instruments.run_ns.start_timer();
         match self.config.mode {
@@ -457,43 +282,35 @@ impl TiledSoc {
             ExecutionMode::Threaded => instruments.runs_threaded.increment(),
             ExecutionMode::Analytic => instruments.runs_analytic.increment(),
         }
-        if self.config.mode == ExecutionMode::Analytic {
-            // The fast path stages every block spectrum first (shared-plan
-            // FFTs, split into SoA planes), then fans the per-tile
-            // accumulation over the worker pool in one go — the same
-            // result block-by-block accumulation would produce, since each
-            // tile still consumes the blocks in ascending order.
-            self.stage_signal_spectra(signal, num_blocks)?;
-            self.accumulate_staged(num_blocks);
-        } else {
+        let k = self.fft_len;
+        if analytic {
             for block in 0..num_blocks {
-                let samples = &signal[block * self.fft_len..(block + 1) * self.fft_len];
+                let slot = self.next_spectrum_slot();
+                self.engine
+                    .block_spectrum_into(signal, block * k, &mut self.spectra[slot])?;
+            }
+        } else {
+            self.tiles_dirty = true;
+            for block in signal.chunks_exact(k).take(num_blocks) {
                 match self.config.mode {
-                    ExecutionMode::Lockstep => self.run_block_lockstep(samples)?,
-                    ExecutionMode::Threaded => self.run_block_threaded(samples)?,
-                    ExecutionMode::Analytic => unreachable!("handled above"),
+                    ExecutionMode::Threaded => self.run_block_threaded(block)?,
+                    _ => self.run_block_lockstep(block)?,
                 }
             }
         }
         self.fill_run(num_blocks, out)?;
-        instruments
-            .critical_cycles
-            .set(out.cycles_per_block() as f64);
-        instruments
-            .energy_per_block_uj
-            .set(self.metrics(out).energy_per_block_uj());
+        record_gauges(&self.config, out.cycles_per_block(), self.fft_len);
         Ok(())
     }
 
-    /// The spectra-fed fast path: accumulates one integration step per
-    /// externally computed block spectrum (eq.-2 spectra of consecutive
+    /// The spectra-fed analytic path: integrates one step per externally
+    /// computed block spectrum (eq.-2 spectra of consecutive
     /// non-overlapping blocks, e.g. the cached spectra an `Observation`
     /// already computed for the software CFD replicas) and returns the same
-    /// `SocRun` — analytic cycle breakdowns, transfer and source counters —
-    /// the simulated run would have produced for the equivalent signal.
-    ///
-    /// This is the entry point that isolates the correlator cost in
-    /// platform studies: no FFT runs here at all.
+    /// `SocRun` — DSCF, closed-form cycle breakdowns, transfer and source
+    /// counters — the simulated run would have produced for the equivalent
+    /// signal. Works whatever the configured mode; the mode only selects
+    /// what [`TiledSoc::run`] does with raw samples.
     ///
     /// # Errors
     ///
@@ -524,9 +341,6 @@ impl TiledSoc {
         let _span = instruments.correlate_ns.start_timer();
         instruments.runs_spectra_fed.increment();
         for (n, block) in spectra.iter().enumerate() {
-            // Exact length required: a longer buffer would be the spectrum
-            // of a *different* FFT size, and truncating it would correlate
-            // the wrong bins without any error.
             if block.len() != self.fft_len {
                 return Err(SocError::Dsp(DspError::InvalidParameter {
                     name: "spectra",
@@ -538,9 +352,36 @@ impl TiledSoc {
                 }));
             }
         }
-        self.stage_spectra(spectra);
-        self.accumulate_staged(spectra.len());
+        for block in spectra {
+            let slot = self.next_spectrum_slot();
+            self.spectra[slot].clone_from(block);
+        }
         self.fill_run(spectra.len(), out)
+    }
+
+    /// Books `blocks` integration steps on the closed-form cost model
+    /// alone and returns their critical-path cycles (what
+    /// [`SocRun::max_tile_cycles`] of the equivalent run reports).
+    ///
+    /// This is the entry for a caller that already holds the DSCF those
+    /// blocks produce — an `Observation`'s shared matrix at the platform's
+    /// parameters, bit-identical to the analytic run's — and needs only the
+    /// platform's cost. Nothing is accumulated, so neither the accumulation
+    /// state nor the path check is involved. The instruments advance as for
+    /// a spectra-fed run: `soc.runs.spectra_fed`, `soc.correlate_ns` and
+    /// the critical-cycle and energy gauges.
+    pub fn book_blocks(&self, blocks: usize) -> u64 {
+        let instruments = instruments();
+        let _span = instruments.correlate_ns.start_timer();
+        instruments.runs_spectra_fed.increment();
+        let per_block = self
+            .steps
+            .iter()
+            .map(IntegrationStepCycles::total)
+            .max()
+            .unwrap_or(0);
+        record_gauges(&self.config, per_block, self.fft_len);
+        per_block * blocks as u64
     }
 
     /// An empty [`SocRun`] sized for this platform, for use with the
@@ -561,13 +402,15 @@ impl TiledSoc {
         PlatformMetrics::new(&self.config, run.cycles_per_block(), self.fft_len)
     }
 
-    /// Clears all tile accumulators and counters (both execution paths).
+    /// Clears the accumulation and counters of both execution paths. The
+    /// Montium tiles (megabytes of memory at wideband scales) are cleared
+    /// only if a simulated run touched them since the last reset.
     pub fn reset(&mut self) {
-        for tile in &mut self.tiles {
-            tile.reset();
-        }
-        for fast in &mut self.analytic {
-            fast.needs_clear = true;
+        if self.tiles_dirty {
+            for tile in &mut self.tiles {
+                tile.reset();
+            }
+            self.tiles_dirty = false;
         }
         self.blocks_simulated = 0;
         self.blocks_analytic = 0;
@@ -594,132 +437,56 @@ impl TiledSoc {
         Ok(())
     }
 
-    /// Stages the spectra of `num_blocks` consecutive signal blocks into
-    /// the SoA operand planes: the shared-plan FFT front-end of the
-    /// analytic path. (A Q15 platform cannot reach this path —
-    /// construction refuses the combination.)
-    fn stage_signal_spectra(&mut self, signal: &[Cplx], num_blocks: usize) -> Result<(), SocError> {
-        let k = self.fft_len;
-        let plan = cached_plan(k).map_err(SocError::Dsp)?;
-        for plane in [&mut self.spec_re, &mut self.spec_im] {
-            plane.clear();
-            plane.resize(num_blocks * k, 0.0);
+    /// Index of the next retained block spectrum of the analytic path,
+    /// reusing a kept allocation when there is one.
+    fn next_spectrum_slot(&mut self) -> usize {
+        if self.spectra.len() == self.blocks_analytic {
+            self.spectra.push(Vec::with_capacity(self.fft_len));
         }
-        for block in 0..num_blocks {
-            self.fft_scratch.clear();
-            self.fft_scratch
-                .extend_from_slice(&signal[block * k..(block + 1) * k]);
-            plan.forward_in_place(&mut self.fft_scratch)
-                .map_err(SocError::Dsp)?;
-            let base = block * k;
-            for (t, value) in self.fft_scratch.iter().enumerate() {
-                self.spec_re[base + t] = value.re;
-                self.spec_im[base + t] = value.im;
-            }
-        }
-        Ok(())
-    }
-
-    /// Stages externally computed block spectra into the SoA operand
-    /// planes (lengths already validated by the caller).
-    fn stage_spectra(&mut self, spectra: &[Vec<Cplx>]) {
-        let k = self.fft_len;
-        for plane in [&mut self.spec_re, &mut self.spec_im] {
-            plane.clear();
-            plane.resize(spectra.len() * k, 0.0);
-        }
-        for (block, spectrum) in spectra.iter().enumerate() {
-            let base = block * k;
-            for (t, value) in spectrum.iter().enumerate() {
-                self.spec_re[base + t] = value.re;
-                self.spec_im[base + t] = value.im;
-            }
-        }
-    }
-
-    /// The worker count the next analytic accumulation will actually use:
-    /// the configured request (`0` = one per available core), capped by
-    /// the process-wide [`analytic_thread_budget`] and the tile count.
-    fn effective_analytic_threads(&self) -> usize {
-        let requested = match self.config.analytic_threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        };
-        requested
-            .min(analytic_thread_budget())
-            .min(self.analytic.len())
-            .max(1)
-    }
-
-    /// Accumulates every staged block into every tile's fast path and
-    /// advances the deterministic platform counters: per block, each of the
-    /// `Q − 1` internal boundaries carries one word per flow per frequency
-    /// step except the last (`2·(Q−1)·(F−1)` transfers), and the FFT source
-    /// feeds both array ends once per shift (`2·(F−1)` inputs) — the same
-    /// volumes the links and source taps of the simulation count.
-    ///
-    /// With more than one effective worker the tiles fan out over a scoped
-    /// thread pool; tiles own disjoint accumulator slabs and each consumes
-    /// the blocks in the same ascending order as the serial path, so every
-    /// thread count produces bit-identical results.
-    fn accumulate_staged(&mut self, blocks: usize) {
-        let threads = self.effective_analytic_threads();
-        instruments().analytic_threads.set(threads as f64);
-        let k = self.fft_len;
-        {
-            let TiledSoc {
-                analytic,
-                spec_re,
-                spec_im,
-                ..
-            } = self;
-            let (spec_re, spec_im) = (&spec_re[..], &spec_im[..]);
-            if threads <= 1 {
-                for tile in analytic.iter_mut() {
-                    tile.accumulate_blocks(spec_re, spec_im, k);
-                }
-            } else {
-                let chunk = analytic.len().div_ceil(threads);
-                std::thread::scope(|scope| {
-                    for tiles in analytic.chunks_mut(chunk) {
-                        scope.spawn(move || {
-                            for tile in tiles {
-                                tile.accumulate_blocks(spec_re, spec_im, k);
-                            }
-                        });
-                    }
-                });
-            }
-        }
-        let f_count = (2 * self.max_offset + 1) as u64;
-        let boundaries = (self.tiles.len() as u64).saturating_sub(1);
-        self.inter_tile_transfers += blocks as u64 * 2 * boundaries * (f_count - 1);
-        self.source_inputs += blocks as u64 * 2 * (f_count - 1);
-        self.blocks_analytic += blocks;
+        self.blocks_analytic += 1;
+        self.blocks_analytic - 1
     }
 
     /// Assembles the [`SocRun`] of the path that accumulated since the last
-    /// reset into `out`, reusing its allocations.
+    /// reset into `out`, reusing its allocations. The analytic counters
+    /// are the closed forms: per block, each tile's
+    /// [`analytic_step_cycles`]; each of the `Q − 1` internal boundaries
+    /// carries one word per flow per frequency step except the last
+    /// (`2·(Q−1)·(F−1)` transfers); and the FFT source feeds both array
+    /// ends once per shift (`2·(F−1)` inputs) — the volumes the links and
+    /// source taps of the simulation count.
     fn fill_run(&mut self, blocks: usize, out: &mut SocRun) -> Result<(), SocError> {
-        self.gather_scf_into(&mut out.scf)?;
         out.blocks = blocks;
         out.per_tile_cycles.clear();
         if self.blocks_analytic > 0 {
             let n = self.blocks_analytic as u64;
-            out.per_tile_cycles.extend(
-                self.analytic
-                    .iter()
-                    .enumerate()
-                    .map(|(q, fast)| fast.cycle_breakdown(q, n)),
-            );
-        } else {
+            self.engine
+                .dscf_from_spectra_into(&self.spectra[..self.blocks_analytic], &mut out.scf);
             out.per_tile_cycles
-                .extend(self.tiles.iter().map(|t| t.cycle_breakdown()));
+                .extend(
+                    self.steps
+                        .iter()
+                        .enumerate()
+                        .map(|(tile, step)| TileCycleBreakdown {
+                            tile,
+                            multiply_accumulate: n * step.multiply_accumulate,
+                            read_data: n * step.read_data,
+                            fft: n * step.fft,
+                            reshuffling: n * step.reshuffling,
+                            initialisation: n * step.initialisation,
+                        }),
+                );
+            let shifts = 2 * self.max_offset as u64;
+            let boundaries = self.tiles.len() as u64 - 1;
+            out.inter_tile_transfers = n * 2 * boundaries * shifts;
+            out.source_inputs = n * 2 * shifts;
+        } else {
+            self.gather_scf_into(&mut out.scf)?;
+            out.per_tile_cycles
+                .extend(self.tiles.iter().map(Tile::cycle_breakdown));
+            out.inter_tile_transfers = self.inter_tile_transfers;
+            out.source_inputs = self.source_inputs;
         }
-        out.inter_tile_transfers = self.inter_tile_transfers;
-        out.source_inputs = self.source_inputs;
         Ok(())
     }
 
@@ -731,12 +498,9 @@ impl TiledSoc {
         }
         // One FIFO per internal boundary and flow; they carry exactly one
         // word per frequency step.
-        let mut conj_links: Vec<QueueLink> = (0..q_count.saturating_sub(1))
-            .map(|_| QueueLink::new())
-            .collect();
-        let mut direct_links: Vec<QueueLink> = (0..q_count.saturating_sub(1))
-            .map(|_| QueueLink::new())
-            .collect();
+        let boundaries = q_count - 1;
+        let mut conj_links: Vec<QueueLink> = (0..boundaries).map(|_| QueueLink::new()).collect();
+        let mut direct_links: Vec<QueueLink> = (0..boundaries).map(|_| QueueLink::new()).collect();
 
         for step in 0..f_count {
             for tile in &mut self.tiles {
@@ -798,36 +562,17 @@ impl TiledSoc {
         let q_count = self.tiles.len();
         let f_count = 2 * self.max_offset + 1;
         // conj_links[q]: tile q -> tile q+1; direct_links[q]: tile q+1 -> tile q.
-        let conj_links: Vec<ChannelLink> = (0..q_count.saturating_sub(1))
-            .map(|_| ChannelLink::new())
-            .collect();
-        let direct_links: Vec<ChannelLink> = (0..q_count.saturating_sub(1))
-            .map(|_| ChannelLink::new())
-            .collect();
+        let boundaries = q_count - 1;
+        let conj_links: Vec<ChannelLink> = (0..boundaries).map(|_| ChannelLink::new()).collect();
+        let direct_links: Vec<ChannelLink> = (0..boundaries).map(|_| ChannelLink::new()).collect();
 
         let results: Vec<Result<(), SocError>> = std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(q_count);
             for (q, tile) in self.tiles.iter_mut().enumerate() {
-                let conj_in = if q > 0 {
-                    Some(conj_links[q - 1].clone())
-                } else {
-                    None
-                };
-                let conj_out = if q + 1 < q_count {
-                    Some(conj_links[q].clone())
-                } else {
-                    None
-                };
-                let direct_in = if q + 1 < q_count {
-                    Some(direct_links[q].clone())
-                } else {
-                    None
-                };
-                let direct_out = if q > 0 {
-                    Some(direct_links[q - 1].clone())
-                } else {
-                    None
-                };
+                let conj_in = (q > 0).then(|| conj_links[q - 1].clone());
+                let conj_out = (q + 1 < q_count).then(|| conj_links[q].clone());
+                let direct_in = (q + 1 < q_count).then(|| direct_links[q].clone());
+                let direct_out = (q > 0).then(|| direct_links[q - 1].clone());
                 handles.push(scope.spawn(move || -> Result<(), SocError> {
                     tile.begin_block(samples)?;
                     for step in 0..f_count {
@@ -893,9 +638,10 @@ impl TiledSoc {
         Ok(())
     }
 
-    /// Gathers the accumulated DSCF into `matrix` (resized only if its grid
+    /// Gathers the simulated DSCF into `matrix` (resized only if its grid
     /// differs), reading each tile's slice through its reusable flat gather
-    /// buffer — no per-task or per-row allocation on either path.
+    /// buffer — no per-task or per-row allocation. The matrix is cleared
+    /// first: an errored tile readback must not leave stale values behind.
     ///
     /// Tile `q` holds the columns (offsets `a`) of its task slice for every
     /// row (frequency `f`); a task's row of `F` values lands strided at
@@ -904,35 +650,18 @@ impl TiledSoc {
         let p = 2 * self.max_offset + 1;
         if matrix.max_offset() != self.max_offset {
             *matrix = ScfMatrix::zeros(self.max_offset);
-        } else if self.blocks_analytic == 0 {
-            // The analytic gather writes every cell exactly once (the
-            // tiles' task slices tile the `P` columns and each holds every
-            // row), so pre-clearing the matrix would only stream an extra
-            // `P²` complex zeros through memory. The simulated path keeps
-            // the clear: an errored tile readback must not leave stale
-            // values behind.
+        } else {
             matrix.as_mut_slice().fill(Cplx::ZERO);
         }
         let values = matrix.as_mut_slice();
-        if self.blocks_analytic > 0 {
-            let norm = 1.0 / self.blocks_analytic as f64;
-            for fast in &self.analytic {
-                // Non-temporal stores were measured here and regressed
-                // ~1.7× on this class of host: the transposing scatter
-                // keeps 8+ store streams live and write-combining buffers
-                // drain partial lines. Plain blocked stores win.
-                scatter_tile_blocked(values, fast, p, norm);
-            }
-        } else {
-            for tile in &mut self.tiles {
-                let first_task = tile.task_set().first_task;
-                // The cores normalise at readback, so the values land as-is.
-                let flat = tile.results_flat()?;
-                for (j, row) in flat.chunks_exact(p).enumerate() {
-                    let col = first_task + j;
-                    for (s, &value) in row.iter().enumerate() {
-                        values[s * p + col] = value;
-                    }
+        for tile in &mut self.tiles {
+            let first_task = tile.task_set().first_task;
+            // The cores normalise at readback, so the values land as-is.
+            let flat = tile.results_flat()?;
+            for (j, row) in flat.chunks_exact(p).enumerate() {
+                let col = first_task + j;
+                for (s, &value) in row.iter().enumerate() {
+                    values[s * p + col] = value;
                 }
             }
         }
@@ -940,33 +669,18 @@ impl TiledSoc {
     }
 }
 
-/// Scatters one tile's normalised accumulators into the output matrix
-/// through a cache-blocked transpose: a task row is contiguous in the tile
-/// slab but lands strided by `P` in the output, so at wideband scales a
-/// straight per-task sweep would touch a new output cache line on every
-/// write. Processing a window of output rows at a time keeps the strided
-/// side resident while the slab reads stay unit-stride.
-fn scatter_tile_blocked(values: &mut [Cplx], fast: &AnalyticTile, p: usize, norm: f64) {
-    let f = fast.f_count;
-    let mut s0 = 0usize;
-    while s0 < f {
-        let s1 = (s0 + 64).min(f);
-        for j in 0..fast.active_tasks {
-            let col = fast.first_task + j;
-            let re = &fast.acc_re[j * f..][..f];
-            let im = &fast.acc_im[j * f..][..f];
-            for s in s0..s1 {
-                values[s * p + col] = Cplx::new(re[s] * norm, im[s] * norm);
-            }
-        }
-        s0 = s1;
-    }
+/// Sets the last-run critical-cycle and energy gauges.
+fn record_gauges(config: &SocConfig, cycles_per_block: u64, fft_len: usize) {
+    let instruments = instruments();
+    instruments.critical_cycles.set(cycles_per_block as f64);
+    instruments
+        .energy_per_block_uj
+        .set(PlatformMetrics::new(config, cycles_per_block, fft_len).energy_per_block_uj());
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfd_dsp::prelude::*;
     use cfd_dsp::scf::dscf_reference;
     use cfd_dsp::signal::{awgn, modulated_signal, ModulatedSignalSpec};
 
@@ -1157,7 +871,7 @@ mod tests {
             soc.run_from_spectra(&spectra),
             Err(SocError::ExecutionFailure { .. })
         ));
-        // After a reset the fast path is available again — and then the
+        // After a reset the analytic path is available again — and then the
         // simulated path is the refused one.
         soc.reset();
         soc.run_from_spectra(&spectra).unwrap();
@@ -1196,6 +910,78 @@ mod tests {
         let second = soc.run(&signal, 1).unwrap();
         assert!(first.scf.max_abs_difference(&second.scf) < 1e-12);
         assert_eq!(first.inter_tile_transfers, second.inter_tile_transfers);
+    }
+
+    /// Equal DSCF values and equal counters.
+    fn assert_same_run(got: &SocRun, want: &SocRun) {
+        assert_eq!(got.scf.as_slice(), want.scf.as_slice());
+        assert_eq!(got.per_tile_cycles, want.per_tile_cycles);
+        assert_eq!(got.inter_tile_transfers, want.inter_tile_transfers);
+        assert_eq!(got.source_inputs, want.source_inputs);
+        assert_eq!(got.blocks, want.blocks);
+    }
+
+    #[test]
+    fn lazy_reset_restores_a_fresh_platform() {
+        let (signal, _) = test_signal(2);
+        let other = awgn(signal.len(), 2.0, 99);
+        let bits = |run: &SocRun| -> Vec<(u64, u64)> {
+            let values = run.scf.as_slice().iter();
+            values.map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        let fresh = small_soc(ExecutionMode::Lockstep, 4).run(&signal, 2);
+        let fresh = fresh.unwrap();
+        let assert_fresh = |soc: &mut TiledSoc| {
+            let run = soc.run(&signal, 2).unwrap();
+            assert_same_run(&run, &fresh);
+            assert_eq!(bits(&run), bits(&fresh));
+        };
+        // Lockstep run -> reset -> lockstep run.
+        let mut soc = small_soc(ExecutionMode::Lockstep, 4);
+        soc.run(&other, 2).unwrap();
+        soc.reset();
+        assert_fresh(&mut soc);
+        // A run that fails (short signal) after tiles accumulated -> reset
+        // -> lockstep run.
+        let mut soc = small_soc(ExecutionMode::Lockstep, 4);
+        soc.run(&other, 1).unwrap();
+        assert!(matches!(
+            soc.run(&signal[..40], 2),
+            Err(SocError::Dsp(DspError::InsufficientSamples { .. }))
+        ));
+        soc.reset();
+        assert_fresh(&mut soc);
+        // Repeated resets with no simulated run in between stay fresh too.
+        soc.reset();
+        soc.reset();
+        assert_fresh(&mut soc);
+    }
+
+    #[test]
+    fn analytic_runs_accumulate_like_the_simulation() {
+        // Without a reset both paths keep integrating: the second run
+        // reports the DSCF and counters of all three blocks. (Values are
+        // equal; the engine's mirrored `a < 0` half may carry `-0.0` where
+        // the simulation writes `+0.0`.)
+        let (signal, _) = test_signal(2);
+        let mut lockstep = small_soc(ExecutionMode::Lockstep, 3);
+        let mut analytic = small_soc(ExecutionMode::Analytic, 3);
+        for blocks in [2, 1] {
+            let golden = lockstep.run(&signal, blocks).unwrap();
+            assert_same_run(&analytic.run(&signal, blocks).unwrap(), &golden);
+        }
+    }
+
+    #[test]
+    fn booked_blocks_cost_what_the_simulation_counts() {
+        let (signal, _) = test_signal(3);
+        for tiles in [1usize, 3, 4, 16] {
+            let golden = small_soc(ExecutionMode::Lockstep, tiles)
+                .run(&signal, 3)
+                .unwrap();
+            let soc = small_soc(ExecutionMode::Analytic, tiles);
+            assert_eq!(soc.book_blocks(3), golden.max_tile_cycles(), "{tiles}");
+        }
     }
 
     #[test]

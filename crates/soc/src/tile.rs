@@ -85,11 +85,6 @@ impl Tile {
         &self.task_set
     }
 
-    /// The underlying Montium core.
-    pub fn core(&self) -> &MontiumCore {
-        &self.core
-    }
-
     /// Number of frequency steps per block.
     pub fn num_frequencies(&self) -> usize {
         self.task_set.num_frequencies()
@@ -190,20 +185,9 @@ impl Tile {
             .map_err(|e| tile_error(self.index, e))
     }
 
-    /// The accumulated, normalised DSCF slice of this tile:
-    /// `result[local_task][frequency_step]`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tile errors.
-    pub fn results(&mut self) -> Result<Vec<Vec<Cplx>>, SocError> {
-        self.core
-            .accumulated_results()
-            .map_err(|e| tile_error(self.index, e))
-    }
-
-    /// The accumulated, normalised DSCF slice read flat into the tile's own
-    /// reusable gather buffer: `result[local_task · F + frequency_step]`.
+    /// The accumulated, normalised DSCF slice of this tile, read flat into
+    /// the tile's own reusable gather buffer:
+    /// `result[local_task · F + frequency_step]`.
     /// This is the allocation-free readback the platform's DSCF gather uses
     /// — the buffer persists across runs.
     ///
@@ -284,9 +268,7 @@ mod tests {
         let (c, d) = tile.edge_outputs().unwrap();
         tile.shift_in(c, d).unwrap();
         tile.finish_block().unwrap();
-        let results = tile.results().unwrap();
-        assert_eq!(results.len(), 4);
-        assert_eq!(results[0].len(), 15);
+        assert_eq!(tile.results_flat().unwrap().len(), 4 * 15);
         let breakdown = tile.cycle_breakdown();
         assert_eq!(breakdown.read_data, 3);
         assert_eq!(breakdown.multiply_accumulate, 4 * 3);

@@ -150,50 +150,7 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
         "enabled telemetry records the per-scale accumulate histogram"
     );
 
-    // --- 5. Threaded vs serial analytic SoC: identical counter deltas ---
-    // The fan-out is an execution detail; every counter must advance by
-    // the same amount whichever thread count ran, and only the
-    // `soc.analytic.threads` gauge tells them apart.
-    // The parallel sweep above lowered the process-wide analytic budget
-    // (workers x soc_threads capping); lift it so the requested fan-out
-    // is what actually runs.
-    cfd_core::set_analytic_thread_budget(usize::MAX);
-    let signal = cfd_dsp::signal::awgn(64 * 3, 1.0, 11);
-    let soc_deltas = |threads: usize| {
-        use tiled_soc::config::{ExecutionMode, SocConfig};
-        let config = SocConfig::paper()
-            .with_tiles(4)
-            .with_mode(ExecutionMode::Analytic)
-            .with_analytic_threads(threads);
-        let mut soc = tiled_soc::soc::TiledSoc::new(config, 15, 64).unwrap();
-        let before = cfd_telemetry::registry().snapshot();
-        let run = soc.run(&signal, 3).unwrap();
-        let after = cfd_telemetry::registry().snapshot();
-        let deltas: Vec<(String, u64)> = after
-            .counters
-            .iter()
-            .map(|(name, value)| (name.clone(), value - before.counter(name).unwrap_or(0)))
-            .collect();
-        (run, deltas)
-    };
-    let (serial_run, serial_deltas) = soc_deltas(1);
-    let (threaded_run, threaded_deltas) = soc_deltas(3);
-    assert_eq!(
-        serial_deltas, threaded_deltas,
-        "thread count must not change any counter delta"
-    );
-    assert!(serial_deltas
-        .iter()
-        .any(|(name, delta)| name == "soc.runs.analytic" && *delta == 1));
-    assert_eq!(serial_run.scf.as_slice(), threaded_run.scf.as_slice());
-    let final_snapshot = cfd_telemetry::registry().snapshot();
-    assert_eq!(
-        final_snapshot.gauge("soc.analytic.threads"),
-        Some(3.0),
-        "the gauge reports the fan-out of the most recent analytic run"
-    );
-
-    // --- 6. The snapshot JSON document is schema-versioned --------------
+    // --- 5. The snapshot JSON document is schema-versioned --------------
     let json = after.to_json();
     assert!(json.starts_with(&format!(
         "{{\"schema\":{},",
@@ -212,7 +169,7 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
         "stage histograms survive the JSON round-trip"
     );
 
-    // --- 7. Streaming instruments (PR 8): a StreamingSensor splits its
+    // --- 6. Streaming instruments (PR 8): a StreamingSensor splits its
     // hops into incremental adds and exact refreshes. The split counters
     // and the ring-occupancy gauge are always-live; the decide/refresh
     // latency histograms record only when timing is enabled --------------
@@ -280,7 +237,7 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
         3
     );
 
-    // --- 8. Service instruments (PR 9): a SensingScheduler counts hops,
+    // --- 7. Service instruments (PR 9): a SensingScheduler counts hops,
     // decisions and drops always-live, reports its fleet shape through
     // gauges, and times hop processing / queue waits only when enabled ---
     // 3 channels x 6 hops of one 32-sample block each; window = 4 blocks,
@@ -363,7 +320,4 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
         service_counter(&after, "decisions") - service_counter(&mid, "decisions"),
         9
     );
-    // Scheduler spawns lowered the process-wide analytic budget; restore
-    // it so this test leaves the global where it found it.
-    cfd_core::set_analytic_thread_budget(usize::MAX);
 }

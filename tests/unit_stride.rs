@@ -5,10 +5,8 @@
 //!   blocks × stride` geometries — including offsets at the validity
 //!   boundary (`2M = K/2 - 1`-adjacent), where the `f±a` runs wrap the
 //!   mod-K seam and every row splits into multiple segments;
-//! * the thread-parallel analytic SoC must equal its serial reference
-//!   **bitwise** (DSCF and every platform counter) for 1–4 worker threads,
-//!   including platforms with more tiles than DSCF columns (entirely idle
-//!   tiles);
+//! * the analytic SoC must equal the lockstep simulation on a platform
+//!   with more tiles than DSCF columns (entirely idle tiles);
 //! * parameter errors are structured values, not panics: the overflowing
 //!   and too-wide `max_offset` cases for both `ScfParams` and
 //!   `CfdApplication`.
@@ -16,7 +14,6 @@
 use cfd_core::app::CfdApplication;
 use cfd_core::error::CfdError;
 use cfd_dsp::complex::Cplx;
-use cfd_dsp::detector::CyclostationaryDetector;
 use cfd_dsp::error::DspError;
 use cfd_dsp::scf::{dscf_reference, ScfEngine, ScfMatrix, ScfParams};
 use cfd_dsp::signal::{modulated_signal, ModulatedSignalSpec};
@@ -30,14 +27,6 @@ fn signal_for(samples: usize, seed: u64) -> Vec<Cplx> {
         ..Default::default()
     };
     modulated_signal(samples, &spec, seed).unwrap()
-}
-
-fn analytic_soc(tiles: usize, threads: usize, max_offset: usize, fft_len: usize) -> TiledSoc {
-    let config = SocConfig::paper()
-        .with_tiles(tiles)
-        .with_mode(ExecutionMode::Analytic)
-        .with_analytic_threads(threads);
-    TiledSoc::new(config, max_offset, fft_len).unwrap()
 }
 
 proptest! {
@@ -86,102 +75,29 @@ proptest! {
         let fast = ScfEngine::new(params).unwrap().compute(&signal).unwrap();
         prop_assert_eq!(fast.as_slice(), golden.as_slice());
     }
-
-    /// The threaded analytic SoC vs the serial reference (and vs
-    /// `dscf_reference`): bit-identical DSCF and equal platform counters
-    /// at every worker count 1–4, including platforms with more tiles
-    /// than grid columns, where trailing tiles hold no active task.
-    #[test]
-    fn threaded_analytic_soc_matches_serial_and_reference(
-        seed in 0u64..1000,
-        tiles in 1usize..18,
-        fft_pow in 4u32..7,
-        offset_raw in 1usize..1000,
-        blocks in 1usize..4,
-        threads in 1usize..5,
-    ) {
-        let fft_len = 1usize << fft_pow;
-        let max_offset = 1 + offset_raw % (fft_len / 2 - 1);
-        let signal = signal_for(fft_len * blocks, seed);
-        let mut serial = analytic_soc(tiles, 1, max_offset, fft_len);
-        let mut threaded = analytic_soc(tiles, threads, max_offset, fft_len);
-        let golden = serial.run(&signal, blocks).unwrap();
-        let fast = threaded.run(&signal, blocks).unwrap();
-        prop_assert_eq!(fast.scf.as_slice(), golden.scf.as_slice());
-        prop_assert_eq!(&fast.per_tile_cycles, &golden.per_tile_cycles);
-        prop_assert_eq!(fast.inter_tile_transfers, golden.inter_tile_transfers);
-        prop_assert_eq!(fast.source_inputs, golden.source_inputs);
-        prop_assert_eq!(fast.blocks, golden.blocks);
-        let params = ScfParams::new(fft_len, max_offset, blocks).unwrap();
-        let reference = dscf_reference(&signal, &params).unwrap();
-        prop_assert_eq!(fast.scf.as_slice(), reference.as_slice());
-    }
 }
 
 /// A 16-tile platform over a 15-column grid leaves at least one tile with
-/// no active task; threaded runs must stay exact (and not panic on the
-/// empty accumulator slabs).
+/// no active task; the analytic platform must still match the lockstep
+/// simulation (DSCF values and every counter, idle tiles included) and
+/// the eq.-3 reference.
 #[test]
-fn idle_tiles_survive_every_thread_count() {
+fn idle_tiles_match_the_simulation() {
     let (fft_len, max_offset, blocks) = (32usize, 7usize, 3usize);
     let signal = signal_for(fft_len * blocks, 99);
-    let golden = analytic_soc(16, 1, max_offset, fft_len)
-        .run(&signal, blocks)
-        .unwrap();
-    for threads in 1..=4 {
-        let fast = analytic_soc(16, threads, max_offset, fft_len)
-            .run(&signal, blocks)
-            .unwrap();
-        assert_eq!(fast.scf.as_slice(), golden.scf.as_slice());
-        assert_eq!(fast.per_tile_cycles, golden.per_tile_cycles);
-        assert_eq!(fast.inter_tile_transfers, golden.inter_tile_transfers);
-    }
-}
-
-/// `analytic_threads: 0` ("one worker per core") and a lowered process
-/// budget both resolve to valid thread counts and stay exact; pool
-/// spawners (here: the sensing-service scheduler) register their worker
-/// count through the same budget so workers × SoC threads never
-/// oversubscribes. One sequential test: the budget is process-global, so
-/// splitting these cases across parallel libtest threads would race.
-#[test]
-fn thread_budget_caps_the_fan_out_without_changing_results() {
-    let (fft_len, max_offset, blocks) = (64usize, 15usize, 2usize);
-    let signal = signal_for(fft_len * blocks, 7);
-    let golden = analytic_soc(4, 1, max_offset, fft_len)
-        .run(&signal, blocks)
-        .unwrap();
-    cfd_core::set_analytic_thread_budget(2);
-    let capped = analytic_soc(4, 0, max_offset, fft_len)
-        .run(&signal, blocks)
-        .unwrap();
-    cfd_core::set_analytic_thread_budget(usize::MAX);
-    assert!(cfd_core::analytic_thread_budget() >= 4);
-    assert_eq!(capped.scf.as_slice(), golden.scf.as_slice());
-    assert_eq!(capped.per_tile_cycles, golden.per_tile_cycles);
-
-    // Spawning a SensingScheduler with k workers divides the budget by k,
-    // exactly like the sweep engine's worker pool.
-    let parallelism = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    for workers in [1usize, 3] {
-        let params = ScfParams::new(32, 7, 4).unwrap();
-        let scheduler = cfd_core::SensingScheduler::builder(cfd_core::ServiceConfig::new(workers))
-            .subscribe(cfd_core::ChannelSubscription::new(
-                0,
-                cfd_core::StreamingConfig::new(params.clone()),
-                CyclostationaryDetector::new(params, 0.35, 1).unwrap(),
-                cfd_core::service::DecisionLog::new(),
-            ))
-            .spawn()
-            .unwrap();
-        assert_eq!(
-            cfd_core::analytic_thread_budget(),
-            (parallelism / workers).max(1),
-            "{workers} scheduler workers must share the machine budget"
-        );
-        scheduler.join().unwrap();
-    }
-    cfd_core::set_analytic_thread_budget(usize::MAX);
+    let soc = |mode: ExecutionMode| {
+        let config = SocConfig::paper().with_tiles(16).with_mode(mode);
+        TiledSoc::new(config, max_offset, fft_len).unwrap()
+    };
+    let golden = soc(ExecutionMode::Lockstep).run(&signal, blocks).unwrap();
+    let fast = soc(ExecutionMode::Analytic).run(&signal, blocks).unwrap();
+    assert_eq!(fast.scf.as_slice(), golden.scf.as_slice());
+    assert_eq!(fast.per_tile_cycles, golden.per_tile_cycles);
+    assert_eq!(fast.inter_tile_transfers, golden.inter_tile_transfers);
+    assert_eq!(fast.source_inputs, golden.source_inputs);
+    let params = ScfParams::new(fft_len, max_offset, blocks).unwrap();
+    let reference = dscf_reference(&signal, &params).unwrap();
+    assert_eq!(fast.scf.as_slice(), reference.as_slice());
 }
 
 /// Parameter errors are structured `InvalidParameter` values — for the
