@@ -77,6 +77,9 @@ use tiled_soc::power::PlatformMetrics;
 /// the global [`cfd_telemetry::registry`]. The counters are always live
 /// (relaxed atomics), which is what lets the once-per-trial spectra
 /// contract be pinned by counter deltas without enabling telemetry.
+/// `scf_cache_misses` counts DSCF integrations, whether they end as a
+/// matrix ([`Observation::scf_for`]) or straight as a profile
+/// ([`Observation::cyclic_profile_for`]).
 struct ObservationInstruments {
     spectra_computations: cfd_telemetry::Counter,
     spectra_cache_hits: cfd_telemetry::Counter,
@@ -286,23 +289,48 @@ impl Observation {
 
     /// The cyclic-domain profile ([`ScfMatrix::cyclic_profile`]) of the
     /// DSCF for `engine`'s parameters, computed (and cached) at most once
-    /// per observation. A profile installed by a streaming producer via
-    /// [`Observation::install_cyclic_profile`] is served as-is; otherwise
-    /// the matrix is obtained through [`Observation::scf_for`] (cached or
-    /// computed) and scanned once.
+    /// per observation. Three paths, first match wins:
+    ///
+    /// 1. A valid profile — computed here earlier, or installed by a
+    ///    streaming producer via [`Observation::install_cyclic_profile`] —
+    ///    is served as-is.
+    /// 2. A valid matrix ([`Observation::scf_for`] ran first, or one was
+    ///    installed) is scanned once; nothing is accumulated again.
+    /// 3. Otherwise the profile is folded straight off the DSCF
+    ///    accumulation of the cached spectra
+    ///    ([`ScfEngine::cyclic_profile_from_spectra_into`]) and no matrix
+    ///    is written: the slot's matrix stays invalid. This counts as one
+    ///    DSCF integration, like an [`Observation::scf_for`] miss:
+    ///    [`Observation::scf_requests`] and the
+    ///    `core.observation.scf_cache_misses` counter each advance by one.
+    ///
+    /// All three give the same bits. The one cost of path 3: a backend
+    /// that reads the matrix through [`Observation::scf_for`] *after* a
+    /// profile-first decide on the same observation pays a second
+    /// accumulation. Rosters that mix matrix readers with profile readers
+    /// should let the matrix reader decide first.
     ///
     /// # Errors
     ///
-    /// Propagates spectra computation errors (e.g. too few samples).
+    /// Propagates spectra computation errors (e.g. too few samples, or a
+    /// NaN or infinite sample).
     pub fn cyclic_profile_for(&mut self, engine: &ScfEngine) -> Result<&[f64], CfdError> {
         let index = self.slot_index(engine.params());
         if self.entries[index].profile_valid {
             return Ok(&self.entries[index].profile);
         }
-        self.scf_for(engine)?;
+        if self.entries[index].scf_valid {
+            self.scf_for(engine)?;
+            let entry = &mut self.entries[index];
+            entry.scf.cyclic_profile_into(&mut entry.profile);
+        } else {
+            self.scf_requests += 1;
+            let index = self.entry_index(engine)?;
+            instruments().scf_cache_misses.increment();
+            let entry = &mut self.entries[index];
+            engine.cyclic_profile_from_spectra_into(&entry.spectra, &mut entry.profile);
+        }
         let entry = &mut self.entries[index];
-        let CachedSpectra { scf, profile, .. } = &mut *entry;
-        scf.cyclic_profile_into(profile);
         entry.profile_valid = true;
         Ok(&entry.profile)
     }
@@ -358,8 +386,12 @@ impl Observation {
         Ok(())
     }
 
-    /// How many times [`Observation::scf_for`] has been called on this
-    /// observation (hits and misses alike), over its whole lifetime.
+    /// How many DSCF requests this observation has served over its whole
+    /// lifetime: every [`Observation::scf_for`] call (hits and misses
+    /// alike), plus every [`Observation::cyclic_profile_for`] that
+    /// integrated a profile straight from the spectra (its path 3).
+    /// Profiles served from the cache or scanned off a cached matrix add
+    /// nothing beyond the `scf_for` hit they make.
     ///
     /// The streaming layer diffs this across a backend's decision to learn
     /// whether the backend actually reads the full matrix — backends that
@@ -473,10 +505,12 @@ impl Decision {
 /// touching any crate of this workspace.
 ///
 /// Implementations that evaluate block spectra or the DSCF should fetch
-/// them through [`Observation::spectra_for`] / [`Observation::scf_for`]
-/// with their own [`ScfEngine`]: the observation caches the result per
+/// them through [`Observation::spectra_for`] /
+/// [`Observation::cyclic_profile_for`] / [`Observation::scf_for`] with
+/// their own [`ScfEngine`]: the observation caches the result per
 /// [`ScfParams`], so every backend of a roster shares one FFT +
-/// correlation pass per trial.
+/// correlation pass per trial. A backend that needs only the cyclic
+/// profile should ask for the profile, which never writes the matrix.
 pub trait SensingBackend {
     /// Stable label for result tables (e.g. ROC rows). Backends of the
     /// same kind should return the same label; sweep drivers disambiguate
@@ -686,6 +720,7 @@ impl BackendRecipe for SessionRecipe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfd_dsp::error::DspError;
     use cfd_dsp::scf::dscf_reference;
     use cfd_dsp::signal::{awgn, SignalBuilder, SymbolModulation};
 
@@ -744,12 +779,104 @@ mod tests {
         );
     }
 
+    /// Asserts that `run` adds exactly `expected` to the process-global
+    /// `core.observation.scf_cache_misses`. Sibling tests on other threads
+    /// can only add to the counter, so a smaller delta fails at once, and
+    /// the run is repeated until one attempt sees no concurrent miss.
+    fn assert_scf_misses(expected: u64, mut run: impl FnMut()) {
+        let misses = || instruments().scf_cache_misses.value();
+        for _ in 0..200 {
+            let before = misses();
+            run();
+            let delta = misses() - before;
+            assert!(
+                delta >= expected,
+                "{delta} DSCF integrations, expected {expected}"
+            );
+            if delta == expected {
+                return;
+            }
+            std::thread::yield_now();
+        }
+        panic!("never observed exactly {expected} DSCF integrations");
+    }
+
+    #[test]
+    fn profile_first_integrates_without_writing_the_matrix() {
+        let params = ScfParams::new(32, 7, 8).unwrap();
+        let engine = ScfEngine::new(params.clone()).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut observation = Observation::new();
+
+        // Profile first: one integration straight to the profile, then a
+        // second one when a matrix reader asks; the matrix scans to the
+        // cached profile's bits.
+        let mut seed = 0;
+        assert_scf_misses(2, || {
+            seed += 1;
+            observation.load(&busy(&params, 3.0, seed));
+            let requests = observation.scf_requests();
+            observation.cyclic_profile_for(&engine).unwrap();
+            assert_eq!(observation.scf_requests(), requests + 1);
+            assert!(!observation.entries[0].scf_valid);
+            let profile = observation.cyclic_profile_for(&engine).unwrap().to_vec();
+            assert_eq!(observation.scf_requests(), requests + 1);
+            let scanned = observation.scf_for(&engine).unwrap().cyclic_profile();
+            assert_eq!(observation.scf_requests(), requests + 2);
+            assert_eq!(bits(&scanned), bits(&profile));
+        });
+
+        // Matrix first: the profile is scanned off it, no second
+        // integration.
+        assert_scf_misses(1, || {
+            seed += 1;
+            observation.load(&busy(&params, 3.0, seed));
+            let scanned = observation.scf_for(&engine).unwrap().cyclic_profile();
+            let profile = observation.cyclic_profile_for(&engine).unwrap();
+            assert_eq!(bits(profile), bits(&scanned));
+        });
+    }
+
     #[test]
     fn observation_propagates_short_sample_errors() {
         let params = ScfParams::new(32, 7, 8).unwrap();
         let engine = ScfEngine::new(params).unwrap();
         let mut observation = Observation::from_samples(awgn(16, 1.0, 1));
         assert!(observation.spectra_for(&engine).is_err());
+    }
+
+    /// Broken input must never read as "band vacant": with NaN or +Inf at
+    /// every 7th sample, every batch backend returns an error, never a
+    /// verdict — the software CFD and energy detectors, the analytic SoC
+    /// session, and an OR fusion of them.
+    #[test]
+    fn non_finite_samples_fail_every_backend() {
+        let params = ScfParams::new(32, 7, 16).unwrap();
+        let application = CfdApplication::new(32, 7, 16).unwrap();
+        let cfd = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
+        let energy = EnergyDetector::new(1.0, 0.05, params.samples_needed()).unwrap();
+        let session = SessionRecipe::new(application, &Platform::paper(), 0.35, 1);
+        let fleet = crate::fusion::FusionCenter::new(crate::fusion::FusionRule::Or)
+            .with_member(energy.clone())
+            .with_member(cfd.clone())
+            .with_member(session.clone());
+        let recipes: [&dyn BackendRecipe; 4] = [&cfd, &energy, &session, &fleet];
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut samples = busy(&params, 3.0, 9);
+            for sample in samples.iter_mut().step_by(7) {
+                sample.re = bad;
+            }
+            for recipe in recipes {
+                let mut observation = Observation::from_samples(samples.clone());
+                let result = recipe.build().unwrap().decide(&mut observation);
+                assert_eq!(
+                    result,
+                    Err(CfdError::Dsp(DspError::NonFiniteSample { index: 0 })),
+                    "{} on {bad}",
+                    recipe.label()
+                );
+            }
+        }
     }
 
     #[test]

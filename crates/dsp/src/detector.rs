@@ -213,6 +213,17 @@ impl EnergyDetector {
 }
 
 impl Detector for EnergyDetector {
+    /// The average power over the noise power.
+    ///
+    /// # Errors
+    ///
+    /// * [`DspError::InsufficientSamples`] for an empty observation,
+    /// * [`DspError::NonFiniteSample`] if a sample is NaN or infinite,
+    /// * [`DspError::InvalidParameter`] if finite samples still give a
+    ///   non-finite statistic (the power overflows `f64`).
+    ///
+    /// A non-finite statistic is never turned into a verdict: NaN would
+    /// read as "band vacant".
     fn statistic(&self, samples: &[Cplx]) -> Result<f64, DspError> {
         if samples.is_empty() {
             return Err(DspError::InsufficientSamples {
@@ -220,7 +231,17 @@ impl Detector for EnergyDetector {
                 available: 0,
             });
         }
-        Ok(signal_power(samples) / self.noise_power)
+        let statistic = signal_power(samples) / self.noise_power;
+        if !statistic.is_finite() {
+            return Err(match samples.iter().position(|x| !x.is_finite()) {
+                Some(index) => DspError::NonFiniteSample { index },
+                None => DspError::InvalidParameter {
+                    name: "samples",
+                    message: format!("the power statistic overflows to {statistic}"),
+                },
+            });
+        }
+        Ok(statistic)
     }
 
     fn threshold(&self) -> f64 {
@@ -332,46 +353,21 @@ impl CyclostationaryDetector {
     }
 
     /// Runs the decision on precomputed block spectra (eq. 2), e.g. the
-    /// shared spectra a sweep engine computed once per trial. Decisions are
-    /// identical to [`Detector::detect`] on the raw samples: the engine's
-    /// spectra path is bit-identical to the one `detect` uses.
+    /// shared spectra a sweep engine computed once per trial. The profile
+    /// is folded straight off the accumulation
+    /// ([`ScfEngine::cyclic_profile_from_spectra_into`]), so no matrix is
+    /// written; decisions are bit-identical to
+    /// [`CyclostationaryDetector::detect_from_scf`] on the engine's (and
+    /// the golden model's) matrix.
     ///
     /// # Panics
     ///
     /// Panics if any block is shorter than `params().fft_len`.
     pub fn detect_from_spectra(&self, spectra: &[Vec<Cplx>]) -> DetectionOutcome {
-        let mut scf = ScfMatrix::zeros(self.params().max_offset);
-        self.detect_from_spectra_into(spectra, &mut scf)
-    }
-
-    /// [`CyclostationaryDetector::detect_from_spectra`] with a
-    /// caller-provided scratch matrix, so sweeps reuse one DSCF allocation
-    /// across all trials.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any block is shorter than `params().fft_len`.
-    pub fn detect_from_spectra_into(
-        &self,
-        spectra: &[Vec<Cplx>],
-        scratch: &mut ScfMatrix,
-    ) -> DetectionOutcome {
-        self.engine.dscf_from_spectra_into(spectra, scratch);
-        self.detect_from_scf(scratch)
-    }
-
-    /// [`Detector::detect`] with a caller-provided scratch matrix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors (e.g. too few samples).
-    pub fn detect_into(
-        &self,
-        samples: &[Cplx],
-        scratch: &mut ScfMatrix,
-    ) -> Result<DetectionOutcome, DspError> {
-        self.engine.compute_into(samples, scratch)?;
-        Ok(self.detect_from_scf(scratch))
+        let mut profile = Vec::new();
+        self.engine
+            .cyclic_profile_from_spectra_into(spectra, &mut profile);
+        self.detect_from_profile(&profile)
     }
 
     fn outcome(&self, statistic: f64) -> DetectionOutcome {
@@ -388,9 +384,16 @@ impl CyclostationaryDetector {
 }
 
 impl Detector for CyclostationaryDetector {
+    /// Spectra, then the profile-first DSCF
+    /// ([`CyclostationaryDetector::detect_from_spectra`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`ScfEngine::compute_spectra_into`]: too few samples, or a NaN
+    /// or infinite sample.
     fn statistic(&self, samples: &[Cplx]) -> Result<f64, DspError> {
-        let scf = self.engine.compute(samples)?;
-        Ok(self.statistic_from_scf(&scf))
+        let spectra = self.engine.compute_spectra(samples)?;
+        Ok(self.detect_from_spectra(&spectra).statistic)
     }
 
     fn threshold(&self) -> f64 {
@@ -513,6 +516,27 @@ mod tests {
     }
 
     #[test]
+    fn energy_detector_refuses_non_finite_power() {
+        let d = EnergyDetector::new(1.0, 0.01, 64).unwrap();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut samples = idle_observation(64, 3);
+            samples[9].re = bad;
+            assert_eq!(
+                d.detect(&samples),
+                Err(DspError::NonFiniteSample { index: 9 })
+            );
+        }
+        let huge = vec![Cplx::new(1e300, 0.0); 4];
+        assert!(matches!(
+            d.statistic(&huge),
+            Err(DspError::InvalidParameter {
+                name: "samples",
+                ..
+            })
+        ));
+    }
+
+    #[test]
     fn energy_detector_false_alarm_rate_is_roughly_calibrated() {
         let pfa_target = 0.05;
         let n = 2048;
@@ -592,14 +616,15 @@ mod tests {
             let spectra = d.engine().compute_spectra(&busy).unwrap();
             let from_samples = d.detect(&busy).unwrap();
             assert_eq!(d.detect_from_spectra(&spectra), from_samples);
-            // The scratch-reusing path is identical too, even with a dirty
-            // wrong-sized scratch matrix.
-            let mut scratch = ScfMatrix::zeros(2);
+            // The profile-first path never writes a matrix, yet decides
+            // bit for bit like a scan of the golden model's matrix.
+            let reference = dscf_reference(&busy, &params).unwrap();
+            let from_scf = d.detect_from_scf(&reference);
             assert_eq!(
-                d.detect_from_spectra_into(&spectra, &mut scratch),
-                from_samples
+                from_scf.statistic.to_bits(),
+                from_samples.statistic.to_bits()
             );
-            assert_eq!(d.detect_into(&busy, &mut scratch).unwrap(), from_samples);
+            assert_eq!(from_scf, from_samples);
         }
     }
 

@@ -37,6 +37,13 @@ pub enum DspError {
         /// Highest admissible value.
         max: i64,
     },
+    /// An input sample was NaN or infinite. A sensor must not turn such
+    /// input into a verdict: "band vacant" would be permission to
+    /// transmit.
+    NonFiniteSample {
+        /// Index of the first offending sample in the input.
+        index: usize,
+    },
 }
 
 impl fmt::Display for DspError {
@@ -58,6 +65,9 @@ impl fmt::Display for DspError {
                 min,
                 max,
             } => write!(f, "{what} = {value} outside valid range [{min}, {max}]"),
+            DspError::NonFiniteSample { index } => {
+                write!(f, "sample {index} is not finite (NaN or infinite)")
+            }
         }
     }
 }
@@ -89,6 +99,8 @@ mod tests {
             max: 63,
         };
         assert!(e.to_string().contains("99") && e.to_string().contains("-63"));
+        let e = DspError::NonFiniteSample { index: 14 };
+        assert!(e.to_string().contains("14") && e.to_string().contains("finite"));
     }
 
     #[test]

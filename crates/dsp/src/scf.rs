@@ -839,6 +839,50 @@ fn finalize_row_scalar(row_vals: &mut [Cplx], ar: &[f64], ai: &[f64], m: usize, 
     }
 }
 
+/// Folds one accumulator row into the `a ≥ 0` half of a cyclic profile
+/// (`best[a]` holds the largest `|S_f^a|²` seen so far). Each square is the
+/// exact arithmetic of [`finalize_row_scalar`] followed by
+/// [`Cplx::norm_sqr`] — `(ar·s)² + (ai·s)²` — and the `>` predicate is the
+/// matrix scan's, so folding rows in ascending order reproduces
+/// [`ScfMatrix::cyclic_profile_into`] bit for bit.
+#[inline(always)]
+fn fold_row_profile(best: &mut [f64], ar: &[f64], ai: &[f64], scale: f64) {
+    let ar = &ar[..best.len()];
+    let ai = &ai[..best.len()];
+    for ((best, &re), &im) in best.iter_mut().zip(ar).zip(ai) {
+        let re = re * scale;
+        let im = im * scale;
+        let magnitude = re * re + im * im;
+        if magnitude > *best {
+            *best = magnitude;
+        }
+    }
+}
+
+/// Finishes a profile whose `a ≥ 0` half ([`fold_row_profile`]) holds
+/// squared maxima: one square root per column, then the `a < 0` half as a
+/// copy — a mirrored cell is the conjugate of its `a ≥ 0` partner, and
+/// its negated imaginary part squares to the same bits.
+fn finish_profile(profile: &mut [f64], m: usize) {
+    let (neg, pos) = profile.split_at_mut(m);
+    for best in pos.iter_mut() {
+        *best = best.sqrt();
+    }
+    for (j, cell) in neg.iter_mut().enumerate() {
+        *cell = pos[m - j];
+    }
+}
+
+/// What the batch accumulation does with each finished row-band while it
+/// is still L1-resident.
+enum BandSink<'a> {
+    /// Normalise, mirror and stream the rows into the full matrix.
+    Matrix(&'a mut ScfMatrix),
+    /// Fold the rows into a cyclic profile (`2M + 1` entries, zeroed by
+    /// the caller); no matrix is written.
+    Profile(&'a mut [f64]),
+}
+
 /// Streams `src` into `dst` with non-temporal stores, bit-exact. The
 /// output matrix is written exactly once per call and read much later (if
 /// at all), so bypassing the cache avoids the read-for-ownership of every
@@ -1414,7 +1458,7 @@ impl ScfEngine {
     ///
     /// # Errors
     ///
-    /// [`DspError::InsufficientSamples`] if the signal is too short.
+    /// As [`ScfEngine::compute_spectra_into`].
     pub fn compute_spectra(&self, signal: &[Cplx]) -> Result<Vec<Vec<Cplx>>, DspError> {
         let mut spectra = Vec::with_capacity(self.params.num_blocks);
         self.compute_spectra_into(signal, &mut spectra)?;
@@ -1426,9 +1470,16 @@ impl ScfEngine {
     /// allocation, so sweep workers recompute spectra trial after trial
     /// without churning the allocator.
     ///
+    /// Every sample a block windows is checked first: a NaN or infinity
+    /// would otherwise propagate through the DSCF into a statistic that
+    /// reads as "band vacant". Each sample is checked once, however much
+    /// the blocks overlap.
+    ///
     /// # Errors
     ///
-    /// [`DspError::InsufficientSamples`] if the signal is too short.
+    /// * [`DspError::InsufficientSamples`] if the signal is too short,
+    /// * [`DspError::NonFiniteSample`] if a windowed sample is NaN or
+    ///   infinite (`out` is left unchanged).
     pub fn compute_spectra_into(
         &self,
         signal: &[Cplx],
@@ -1441,6 +1492,18 @@ impl ScfEngine {
             });
         }
         let _span = spectra_ns().start_timer();
+        let mut checked = 0usize;
+        for n in 0..self.params.num_blocks {
+            let start = n * self.params.block_stride;
+            let from = start.max(checked);
+            let end = start + self.params.fft_len;
+            if let Some(offset) = signal[from..end].iter().position(|x| !x.is_finite()) {
+                return Err(DspError::NonFiniteSample {
+                    index: from + offset,
+                });
+            }
+            checked = end;
+        }
         out.truncate(self.params.num_blocks);
         while out.len() < self.params.num_blocks {
             out.push(Vec::with_capacity(self.params.fft_len));
@@ -1468,8 +1531,45 @@ impl ScfEngine {
     /// Panics if any block is shorter than `params.fft_len` (same contract
     /// as [`dscf_from_spectra`]).
     pub fn dscf_from_spectra_into(&self, spectra: &[Vec<Cplx>], out: &mut ScfMatrix) {
-        let _span = accumulate_ns().start_timer();
         let m = self.params.max_offset;
+        if out.max_offset != m {
+            *out = ScfMatrix::zeros(m);
+        }
+        if spectra.is_empty() {
+            // The band finaliser writes every cell, so zeroing is only
+            // needed when there is nothing to accumulate.
+            out.values.fill(Cplx::ZERO);
+        }
+        self.integrate(spectra, BandSink::Matrix(out));
+    }
+
+    /// The cyclic-domain profile ([`ScfMatrix::cyclic_profile`] layout:
+    /// `2M + 1` entries, offset `a` at index `a + M`) of the DSCF of
+    /// `spectra`, computed without materialising the matrix. `out` is
+    /// resized to the grid size; empty `spectra` give an all-zero profile.
+    ///
+    /// This is the batch accumulation of
+    /// [`ScfEngine::dscf_from_spectra_into`] — same staging, same band
+    /// kernel, same instruments — with each finished row-band folded into
+    /// the profile while it is still in L1, instead of normalised,
+    /// mirrored and streamed into a matrix that would then be rescanned.
+    /// The result is **bit-identical** to `dscf_from_spectra_into`
+    /// followed by [`ScfMatrix::cyclic_profile_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if any block is shorter than `params.fft_len`.
+    pub fn cyclic_profile_from_spectra_into(&self, spectra: &[Vec<Cplx>], out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.params.grid_size(), 0.0);
+        self.integrate(spectra, BandSink::Profile(out));
+    }
+
+    /// The shared front of the two batch paths: instruments, the block
+    /// length contract, and the accumulation itself for non-empty
+    /// `spectra` (`sink` is already sized for the grid).
+    fn integrate(&self, spectra: &[Vec<Cplx>], sink: BandSink<'_>) {
+        let _span = accumulate_ns().start_timer();
         let p = self.params.grid_size();
         let k = self.params.fft_len;
         // Per-scale latency on top of the aggregate histogram, so wideband
@@ -1481,9 +1581,6 @@ impl ScfEngine {
             None
         };
         segment_runs().add((self.segments.len() * spectra.len()) as u64);
-        if out.max_offset != m {
-            *out = ScfMatrix::zeros(m);
-        }
         for block in spectra {
             assert!(
                 block.len() >= k,
@@ -1492,19 +1589,17 @@ impl ScfEngine {
             );
         }
         if spectra.is_empty() {
-            // The band finaliser below writes every cell, so zeroing is
-            // only needed when there is nothing to accumulate.
-            out.values.fill(Cplx::ZERO);
             return;
         }
         SCF_SCRATCH.with(|scratch| {
-            self.accumulate_segments(spectra, &mut scratch.borrow_mut(), out);
+            self.accumulate_segments(spectra, &mut scratch.borrow_mut(), sink);
         });
     }
 
     /// The unit-stride accumulation kernel behind
-    /// [`ScfEngine::dscf_from_spectra_into`] (spectra pre-validated,
-    /// non-empty).
+    /// [`ScfEngine::dscf_from_spectra_into`] and
+    /// [`ScfEngine::cyclic_profile_from_spectra_into`] (spectra
+    /// pre-validated, non-empty; `sink` sized for the grid).
     ///
     /// Stages every block once into re/im-split planes — the direct copy
     /// and the index-reversed copy `rev[t] = block[(K−t) mod K]` — then
@@ -1521,7 +1616,7 @@ impl ScfEngine {
         &self,
         spectra: &[Vec<Cplx>],
         scratch: &mut ScfScratch,
-        out: &mut ScfMatrix,
+        mut sink: BandSink<'_>,
     ) {
         let m = self.params.max_offset;
         let p = self.params.grid_size();
@@ -1531,17 +1626,18 @@ impl ScfEngine {
         stage_operand_planes(scratch, k, spectra.iter().map(|block| &block[..k]));
         // Row-band × block cache blocking: the accumulator slab covers only
         // one band of rows (~64 KiB across the re + im planes), stays hot
-        // while every staged block streams through it, and is normalised
-        // and mirrored into `out` before the next band reuses it — so the
-        // accumulator traffic never round-trips through memory at any grid
-        // size.
+        // while every staged block streams through it, and is handed to
+        // the sink before the next band reuses it — so the accumulator
+        // traffic never round-trips through memory at any grid size.
         let band_rows = (4096 / half).clamp(4, 512).min(p);
         for plane in [&mut scratch.acc_re, &mut scratch.acc_im] {
             plane.clear();
             plane.resize(band_rows * half, 0.0);
         }
-        scratch.row_buf.clear();
-        scratch.row_buf.resize(p, Cplx::ZERO);
+        if let BandSink::Matrix(_) = sink {
+            scratch.row_buf.clear();
+            scratch.row_buf.resize(p, Cplx::ZERO);
+        }
         let scale = 1.0 / n as f64;
         let mut band_start = 0usize;
         while band_start < p {
@@ -1557,23 +1653,32 @@ impl ScfEngine {
                 k,
                 scratch,
             );
-            // Normalise and mirror the finished band: `out = acc/N` for
-            // `a ≥ 0`, conjugate for `a < 0` — the same single-rounded
-            // scaling the pre-segment kernel applied via `Cplx * f64`. Each
-            // row is assembled in an L1-hot staging buffer, then streamed
-            // into the (cold, write-once) output with wide non-temporal
-            // copies.
             for row in band_start..band_end {
                 let local = (row - band_start) * half;
                 let ar = &scratch.acc_re[local..][..half];
                 let ai = &scratch.acc_im[local..][..half];
-                finalize_row_scalar(&mut scratch.row_buf, ar, ai, m, scale);
-                let row_vals = &mut out.values[row * p..(row + 1) * p];
-                copy_row_out(row_vals, &scratch.row_buf);
+                match &mut sink {
+                    // Normalise and mirror: `out = acc/N` for `a ≥ 0`,
+                    // conjugate for `a < 0` — the same single-rounded
+                    // scaling the pre-segment kernel applied via
+                    // `Cplx * f64`. Each row is assembled in an L1-hot
+                    // staging buffer, then streamed into the (cold,
+                    // write-once) output with wide non-temporal copies.
+                    BandSink::Matrix(out) => {
+                        finalize_row_scalar(&mut scratch.row_buf, ar, ai, m, scale);
+                        copy_row_out(&mut out.values[row * p..][..p], &scratch.row_buf);
+                    }
+                    BandSink::Profile(profile) => {
+                        fold_row_profile(&mut profile[m..], ar, ai, scale);
+                    }
+                }
             }
             band_start = band_end;
         }
-        finalize_fence();
+        match sink {
+            BandSink::Matrix(_) => finalize_fence(),
+            BandSink::Profile(profile) => finish_profile(profile, m),
+        }
     }
 
     /// Full evaluation (spectra + eq. 3) into an existing matrix, reusing
@@ -1585,7 +1690,7 @@ impl ScfEngine {
     ///
     /// # Errors
     ///
-    /// [`DspError::InsufficientSamples`] if the signal is too short.
+    /// As [`ScfEngine::compute_spectra_into`].
     pub fn compute_into(&self, signal: &[Cplx], out: &mut ScfMatrix) -> Result<(), DspError> {
         let spectra = self.compute_spectra(signal)?;
         self.dscf_from_spectra_into(&spectra, out);
@@ -1596,7 +1701,7 @@ impl ScfEngine {
     ///
     /// # Errors
     ///
-    /// [`DspError::InsufficientSamples`] if the signal is too short.
+    /// As [`ScfEngine::compute_spectra_into`].
     pub fn compute(&self, signal: &[Cplx]) -> Result<ScfMatrix, DspError> {
         let mut out = ScfMatrix::zeros(self.params.max_offset);
         self.compute_into(signal, &mut out)?;
@@ -1936,25 +2041,12 @@ impl ScfEngine {
         let scale = 1.0 / num_blocks as f64;
         out.clear();
         out.resize(p, 0.0);
-        let (neg, pos) = out.split_at_mut(m);
         for row in 0..p {
             let ar = &acc.acc_re[row * half..][..half];
             let ai = &acc.acc_im[row * half..][..half];
-            for (a, best) in pos.iter_mut().enumerate() {
-                let re = ar[a] * scale;
-                let im = ai[a] * scale;
-                let magnitude = re * re + im * im;
-                if magnitude > *best {
-                    *best = magnitude;
-                }
-            }
+            fold_row_profile(&mut out[m..], ar, ai, scale);
         }
-        for best in pos.iter_mut() {
-            *best = best.sqrt();
-        }
-        for (j, cell) in neg.iter_mut().enumerate() {
-            *cell = pos[m - j];
-        }
+        finish_profile(out, m);
     }
 }
 
@@ -2376,6 +2468,66 @@ mod tests {
             .iter()
             .zip(&direct)
             .all(|(a, b)| a.to_bits() == b.to_bits()));
+    }
+
+    /// The profile-first batch path folds each finished band into the
+    /// profile instead of writing the matrix. It must match writing then
+    /// scanning bit for bit: for every 4/2/1 register-chain tail (1..=9
+    /// blocks), on one-band (±7), two-band (±63) and many-band (±255)
+    /// grids, for empty spectra, and whatever length the caller's buffer
+    /// arrives with.
+    #[test]
+    fn spectra_profile_is_bitwise_equal_to_matrix_scan() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (fft_len, max_offset) in [(32, 7), (256, 63), (1024, 255)] {
+            let params = ScfParams::new(fft_len, max_offset, 9)
+                .unwrap()
+                .with_stride(fft_len * 3 / 4)
+                .with_window(Window::Hann);
+            let p = params.grid_size();
+            let engine = ScfEngine::new(params.clone()).unwrap();
+            let signal = awgn(params.samples_needed(), 1.0, max_offset as u64);
+            let spectra = engine.compute_spectra(&signal).unwrap();
+            let mut matrix = ScfMatrix::zeros(max_offset);
+            let mut scanned = Vec::new();
+            for n in 1..=9 {
+                engine.dscf_from_spectra_into(&spectra[..n], &mut matrix);
+                matrix.cyclic_profile_into(&mut scanned);
+                // Stale contents, too short or too long.
+                let mut profile = vec![f64::NAN; if n % 2 == 0 { 3 } else { p + 5 }];
+                engine.cyclic_profile_from_spectra_into(&spectra[..n], &mut profile);
+                assert_eq!(bits(&profile), bits(&scanned), "±{max_offset}, {n} blocks");
+            }
+            engine.dscf_from_spectra_into(&[], &mut matrix);
+            matrix.cyclic_profile_into(&mut scanned);
+            let mut profile = vec![f64::NAN; 1];
+            engine.cyclic_profile_from_spectra_into(&[], &mut profile);
+            assert_eq!(profile, vec![0.0; p]);
+            assert_eq!(bits(&profile), bits(&scanned));
+        }
+    }
+
+    /// A NaN or infinity anywhere a block windows is refused with its
+    /// index, also inside the overlap of two blocks; a sample between
+    /// blocks (stride > fft_len) is never read, so it is not checked.
+    #[test]
+    fn spectra_refuse_non_finite_samples() {
+        let overlapping = ScfEngine::new(ScfParams::new(16, 3, 3).unwrap().with_stride(8)).unwrap();
+        let gapped = ScfEngine::new(ScfParams::new(16, 3, 2).unwrap().with_stride(20)).unwrap();
+        for (engine, index) in [(&overlapping, 12), (&overlapping, 31), (&gapped, 20)] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut signal = awgn(engine.params().samples_needed(), 1.0, 3);
+                signal[index].im = bad;
+                let mut out = Vec::new();
+                assert_eq!(
+                    engine.compute_spectra_into(&signal, &mut out),
+                    Err(DspError::NonFiniteSample { index })
+                );
+            }
+        }
+        let mut signal = awgn(gapped.params().samples_needed(), 1.0, 3);
+        signal[17] = Cplx::new(f64::NAN, 0.0);
+        assert!(gapped.compute_spectra(&signal).is_ok());
     }
 
     #[test]
