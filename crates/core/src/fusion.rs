@@ -27,7 +27,9 @@
 //! from a fingerprint of the observation's samples: the same observation
 //! always meets the same per-sensor realisations, on any replica, under
 //! any worker count — which keeps fused sweeps bit-identical to serial
-//! ones under common random numbers.
+//! ones under common random numbers. Impaired members of one decide may
+//! run on several of the host's cores, but their decisions are fused in
+//! member order, so the lane count never shows in the result.
 //!
 //! ## Example
 //!
@@ -65,6 +67,8 @@ use crate::backend::{BackendRecipe, Decision, Observation, SensingBackend};
 use crate::error::CfdError;
 use cfd_dsp::complex::Cplx;
 use std::fmt;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Cached handles to the `fusion.*` instruments. Counters are always
@@ -73,6 +77,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 struct FusionInstruments {
     decisions: cfd_telemetry::Counter,
     member_decisions: cfd_telemetry::Counter,
+    parallel_decisions: cfd_telemetry::Counter,
     split_votes: cfd_telemetry::Counter,
 }
 
@@ -81,6 +86,7 @@ fn instruments() -> &'static FusionInstruments {
     INSTRUMENTS.get_or_init(|| FusionInstruments {
         decisions: cfd_telemetry::counter("fusion.decisions"),
         member_decisions: cfd_telemetry::counter("fusion.member_decisions"),
+        parallel_decisions: cfd_telemetry::counter("fusion.parallel_decisions"),
         split_votes: cfd_telemetry::counter("fusion.split_votes"),
     })
 }
@@ -352,6 +358,67 @@ fn mix_seed(seed: u64, salt: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Observations shorter than this decide their impaired members on the
+/// caller alone. A scoped spawn + join costs about 67 µs on a 2-core Xeon
+/// while impairing costs about 68 ns a sample, so below this length the
+/// helper lane costs more than the members it would take over: without the
+/// floor, the 1 024-sample `section5_evaluation --fusion` sweeps ran 11–24 %
+/// slower.
+const PARALLEL_FLOOR_SAMPLES: usize = 4096;
+
+/// The host's core count, read once per process: uncached,
+/// `available_parallelism` reads cgroup files on every call (~28 µs).
+fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// One impaired member's share of a fused decide: everything it touches
+/// is its own, so lanes never share mutable state.
+struct ImpairedMember<'a> {
+    index: usize,
+    replica: &'a mut (dyn SensingBackend + Send),
+    scratch: &'a mut Observation,
+    impair: &'a ImpairFn,
+    seed: u64,
+    outcome: Option<Result<Decision, CfdError>>,
+}
+
+impl ImpairedMember<'_> {
+    fn decide(&mut self, samples: &[Cplx]) {
+        self.scratch.set_samples((self.impair)(samples, self.seed));
+        self.outcome = Some(self.replica.decide(self.scratch));
+    }
+}
+
+/// Decides `members` on `lanes` lanes: the caller is one, and each helper
+/// thread pulls the next member index until none is left. With one lane
+/// no thread is spawned. A helper's panic resumes on the caller with its
+/// own payload once every lane has finished.
+///
+/// The index counter publishes nothing, so it is `Relaxed`: each member's
+/// mutex and the joins carry its outcome back to the caller.
+fn decide_on_lanes(members: &[Mutex<ImpairedMember<'_>>], samples: &[Cplx], lanes: usize) {
+    let next = AtomicUsize::new(0);
+    let lane = || {
+        while let Some(member) = members.get(next.fetch_add(1, Ordering::Relaxed)) {
+            member
+                .lock()
+                .expect("each member is claimed by exactly one lane")
+                .decide(samples);
+        }
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
+        lane();
+        for helper in helpers {
+            if let Err(payload) = helper.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
+}
+
 impl SensingBackend for FusionCenter {
     /// `fusion-<rule>(<member labels>)`, e.g. `fusion-2of3(cfd+cfd+cfd)`.
     fn label(&self) -> String {
@@ -365,17 +432,27 @@ impl SensingBackend for FusionCenter {
     /// Fans the observation out to every member (through its channel
     /// overlay), then fuses the member decisions under the rule.
     ///
+    /// Clean members decide on the caller, sharing the observation's
+    /// caches. Impaired members decide on `min(cores, impaired members)`
+    /// lanes, or on the caller alone for an observation shorter than
+    /// 4 096 samples. Decisions are fused in member order, so the result
+    /// is bit-identical whatever the lane count.
+    ///
     /// Hard rules report the vote count as the fused statistic against a
     /// threshold of `votes_needed - 0.5`; soft combining reports the
     /// summed member statistic against the fleet threshold. The decision
     /// is timed into the `fusion.decide_ns` histogram while telemetry is
-    /// enabled; `fusion.decisions`, `fusion.member_decisions` and
-    /// `fusion.split_votes` count always.
+    /// enabled. `fusion.decisions`, `fusion.member_decisions`,
+    /// `fusion.parallel_decisions` and `fusion.split_votes` count fused
+    /// decides that succeed, always.
     ///
     /// # Errors
     ///
-    /// Propagates member build/decision errors and
-    /// [`FusionCenter::validate`] failures.
+    /// Every member decides even if one fails; the error returned is that
+    /// of the lowest-indexed failing member, whichever lane finished
+    /// first. Member build errors and [`FusionCenter::validate`] failures
+    /// are returned before any member decides. A member's panic
+    /// propagates.
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
         self.validate()?;
         let _span = cfd_telemetry::span("fusion.decide_ns");
@@ -390,24 +467,45 @@ impl SensingBackend for FusionCenter {
             }
         }
         let fingerprint = sample_fingerprint(observation.samples());
-        let mut decisions = Vec::with_capacity(members.len());
-        for (index, member) in members.iter().enumerate() {
-            let decision = match &member.channel.inner {
-                // Clean members share the common observation (and its
-                // spectra caches) directly.
-                None => state.replicas[index].decide(observation)?,
-                Some(impair) => {
-                    let seed = mix_seed(fingerprint, 0xF05E_0000 ^ index as u64);
-                    let received = impair(observation.samples(), seed);
-                    let scratch = &mut state.scratch[index];
-                    scratch.set_samples(received);
-                    state.replicas[index].decide(scratch)?
-                }
-            };
-            decisions.push(decision);
+        let mut outcomes: Vec<Option<Result<Decision, CfdError>>> =
+            (0..members.len()).map(|_| None).collect();
+        let mut impaired = Vec::new();
+        let slots = state.replicas.iter_mut().zip(state.scratch.iter_mut());
+        for (index, (member, (replica, scratch))) in members.iter().zip(slots).enumerate() {
+            match &member.channel.inner {
+                None => outcomes[index] = Some(replica.decide(observation)),
+                Some(impair) => impaired.push(Mutex::new(ImpairedMember {
+                    index,
+                    replica: &mut **replica,
+                    scratch,
+                    impair: &**impair,
+                    seed: mix_seed(fingerprint, 0xF05E_0000 ^ index as u64),
+                    outcome: None,
+                })),
+            }
         }
+        let samples = observation.samples();
+        let lanes = if samples.len() < PARALLEL_FLOOR_SAMPLES {
+            1
+        } else {
+            host_cores().min(impaired.len())
+        };
+        decide_on_lanes(&impaired, samples, lanes);
+        for member in impaired {
+            let member = member
+                .into_inner()
+                .expect("a member's panic propagates before its outcome is read");
+            outcomes[member.index] = member.outcome;
+        }
+        let decisions = outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("every member decides"))
+            .collect::<Result<Vec<_>, _>>()?;
         instruments().member_decisions.add(decisions.len() as u64);
         instruments().decisions.increment();
+        if lanes > 1 {
+            instruments().parallel_decisions.increment();
+        }
         let fused = match self.rule {
             FusionRule::SoftCombine { threshold } => {
                 let sum: f64 = decisions.iter().map(|d| d.statistic).sum();
@@ -618,6 +716,139 @@ mod tests {
         // All three members decode from one shared DSCF: a single SCF
         // computation, three profile reads.
         assert_eq!(observation.computed(), 1);
+    }
+
+    /// Parameters whose observations (4 096 samples) reach the fan-out
+    /// floor, so impaired members spread over the host's cores.
+    fn wide_params() -> ScfParams {
+        let params = ScfParams::new(32, 7, 128).unwrap();
+        assert!(params.samples_needed() >= PARALLEL_FLOOR_SAMPLES);
+        params
+    }
+
+    fn wide_cfd(threshold: f64) -> CyclostationaryDetector {
+        CyclostationaryDetector::new(wide_params(), threshold, 1).unwrap()
+    }
+
+    fn wide_busy(seed: u64) -> Vec<Cplx> {
+        SignalBuilder::new(wide_params().samples_needed())
+            .modulation(SymbolModulation::Bpsk)
+            .samples_per_symbol(8)
+            .snr_db(-3.0)
+            .seed(seed)
+            .build()
+            .unwrap()
+            .samples
+    }
+
+    /// A shadowed link: a seeded log-normal gain (`sigma_db` spread) on
+    /// the common samples plus unit-power receiver noise.
+    fn shadowed(samples: &[Cplx], seed: u64, sigma_db: f64) -> Vec<Cplx> {
+        let draw = awgn(1, 2.0, seed)[0].re;
+        let gain = 10f64.powf(sigma_db * draw / 20.0);
+        let noise = awgn(samples.len(), 1.0, seed ^ 0x5AD0);
+        samples
+            .iter()
+            .zip(&noise)
+            .map(|(&s, &w)| s * gain + w)
+            .collect()
+    }
+
+    fn shadowed_fleet(rule: FusionRule, threshold: f64) -> FusionCenter {
+        (0..4).fold(FusionCenter::new(rule), |fleet, _| {
+            fleet.with_impaired_member(
+                wide_cfd(threshold),
+                MemberChannel::new(|samples, seed| shadowed(samples, seed, 8.0)),
+            )
+        })
+    }
+
+    /// Each member's decision, replayed serially outside the fleet with
+    /// the seeds the fleet derives.
+    fn replay_members(samples: &[Cplx], threshold: f64) -> Vec<Decision> {
+        let fingerprint = sample_fingerprint(samples);
+        (0..4u64)
+            .map(|index| {
+                let seed = mix_seed(fingerprint, 0xF05E_0000 ^ index);
+                let received = shadowed(samples, seed, 8.0);
+                wide_cfd(threshold)
+                    .decide(&mut Observation::from_samples(received))
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fan_out_matches_serial_member_replay() {
+        let _serial = serialised();
+        let parallel = cfd_telemetry::counter("fusion.parallel_decisions");
+        let per_decide = u64::from(host_cores() > 1);
+        let mut soft = shadowed_fleet(FusionRule::SoftCombine { threshold: 1.0 }, 0.35);
+        let mut or = shadowed_fleet(FusionRule::Or, 0.35);
+        for trial in 0..3 {
+            let samples = wide_busy(40 + trial);
+            let members = replay_members(&samples, 0.35);
+            let mut observation = Observation::from_samples(samples);
+            let before = parallel.value();
+            let first = soft.decide(&mut observation).unwrap();
+            let sum: f64 = members.iter().map(|d| d.statistic).sum();
+            assert_eq!(first.statistic.to_bits(), sum.to_bits(), "trial {trial}");
+            for _ in 0..3 {
+                assert_eq!(soft.decide(&mut observation).unwrap(), first);
+            }
+            let votes = members.iter().filter(|d| d.is_signal()).count();
+            assert_eq!(or.decide(&mut observation).unwrap().statistic, votes as f64);
+            // Four soft decides and one OR decide, each above the floor.
+            assert_eq!(parallel.value() - before, 5 * per_decide, "trial {trial}");
+        }
+        // Below the floor the same impaired fleet stays on one lane.
+        let mut narrow = FusionCenter::new(FusionRule::Or);
+        for _ in 0..4 {
+            narrow = narrow.with_impaired_member(
+                cfd(0.35),
+                MemberChannel::new(|samples, seed| shadowed(samples, seed, 8.0)),
+            );
+        }
+        let before = parallel.value();
+        narrow
+            .decide(&mut Observation::from_samples(busy(0.0, 41)))
+            .unwrap();
+        assert_eq!(parallel.value(), before);
+    }
+
+    #[test]
+    fn member_failure_returns_the_lowest_indexed_error() {
+        let _serial = serialised();
+        let nan_at = |at: Option<usize>| {
+            MemberChannel::new(move |samples, _| {
+                let mut received = samples.to_vec();
+                if let Some(at) = at {
+                    received[at] = Cplx::new(f64::NAN, 0.0);
+                }
+                received
+            })
+        };
+        let mut fleet = FusionCenter::new(FusionRule::Or)
+            .with_impaired_member(wide_cfd(0.35), nan_at(None))
+            .with_impaired_member(wide_cfd(0.35), nan_at(Some(5)))
+            .with_impaired_member(wide_cfd(0.35), nan_at(None))
+            .with_impaired_member(wide_cfd(0.35), nan_at(Some(0)));
+        let decisions = cfd_telemetry::counter("fusion.decisions");
+        let members = cfd_telemetry::counter("fusion.member_decisions");
+        let (decisions_before, members_before) = (decisions.value(), members.value());
+        let mut observation = Observation::from_samples(wide_busy(50));
+        for repeat in 0..20 {
+            assert_eq!(
+                fleet.decide(&mut observation),
+                Err(CfdError::Dsp(cfd_dsp::error::DspError::NonFiniteSample {
+                    index: 5
+                })),
+                "repeat {repeat}"
+            );
+        }
+        // Failed fused decides count nowhere.
+        assert_eq!(decisions.value(), decisions_before);
+        assert_eq!(members.value(), members_before);
     }
 
     #[test]

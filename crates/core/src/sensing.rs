@@ -109,9 +109,8 @@ impl SpectrumSensor {
     }
 
     /// The DSCF engine of this sensor's detector — its parameters are
-    /// exactly the application's [`CfdApplication::scf_params`], so sweep
-    /// drivers use it to key shared block spectra that this sensor can
-    /// consume through [`SpectrumSensor::decide_from_spectra`].
+    /// exactly the application's [`CfdApplication::scf_params`], so it keys
+    /// the [`Observation`] caches this sensor's backend decides from.
     pub fn engine(&self) -> &cfd_dsp::scf::ScfEngine {
         self.detector.engine()
     }
@@ -125,27 +124,6 @@ impl SpectrumSensor {
     /// construction rule ever be relaxed.
     pub fn shares_software_spectra(&self) -> bool {
         self.soc.config().mode == ExecutionMode::Analytic && !self.soc.config().tile.quantize_q15
-    }
-
-    /// Scenario-driven fast entry point: one decision from externally
-    /// computed block spectra (eq. 2, non-overlapping rectangular-window
-    /// blocks — the spectra an [`Observation`] already cached for the
-    /// software CFD replicas), fed straight into the platform's spectra-fed
-    /// correlator. Decisions are identical to
-    /// [`SpectrumSensor::decide`] on the raw samples when
-    /// [`SpectrumSensor::shares_software_spectra`] holds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors (e.g. block spectra shorter than the FFT
-    /// length).
-    pub fn decide_from_spectra(
-        &mut self,
-        spectra: &[Vec<Cplx>],
-    ) -> Result<DetectionOutcome, CfdError> {
-        self.soc.reset();
-        let run = self.soc.run_from_spectra(spectra)?;
-        Ok(self.detector.detect_from_scf(&run.scf))
     }
 
     /// One decision from the observation's shared cyclic profile — the
@@ -329,8 +307,8 @@ impl SensingSession {
         self.sensor.soc.configurations()
     }
 
-    /// The DSCF engine keying this session's shareable block spectra (see
-    /// [`SpectrumSensor::engine`]).
+    /// The DSCF engine keying this session's shared observation caches
+    /// (see [`SpectrumSensor::engine`]).
     pub fn engine(&self) -> &cfd_dsp::scf::ScfEngine {
         self.sensor.engine()
     }
@@ -349,18 +327,6 @@ impl SensingSession {
         self.total_critical_cycles += cycles;
     }
 
-    /// Accounts the run in `self.scratch` and thresholds its DSCF — shared
-    /// tail of the raw-sample and spectra-fed paths, which differ only in
-    /// how the scratch run was filled.
-    fn account_scratch(&mut self) -> (DetectionOutcome, u64) {
-        let cycles = self.scratch.max_tile_cycles();
-        self.account(self.scratch.blocks, cycles);
-        (
-            self.sensor.detector.detect_from_scf(&self.scratch.scf),
-            cycles,
-        )
-    }
-
     /// One decision plus its session accounting — the single place where
     /// counters are updated, shared by [`SensingSession::decide`] and
     /// [`SensingSession::decide_batch`]. Returns the outcome and the
@@ -371,26 +337,12 @@ impl SensingSession {
         self.sensor
             .soc
             .run_into(samples, num_blocks, &mut self.scratch)?;
-        Ok(self.account_scratch())
-    }
-
-    /// One decision from externally computed block spectra, streamed
-    /// through the platform's spectra-fed analytic path with the same session
-    /// accounting as [`SensingSession::decide`] (see
-    /// [`SpectrumSensor::decide_from_spectra`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors.
-    pub fn decide_from_spectra(
-        &mut self,
-        spectra: &[Vec<Cplx>],
-    ) -> Result<DetectionOutcome, CfdError> {
-        self.sensor.soc.reset();
-        self.sensor
-            .soc
-            .run_from_spectra_into(spectra, &mut self.scratch)?;
-        Ok(self.account_scratch().0)
+        let cycles = self.scratch.max_tile_cycles();
+        self.account(self.scratch.blocks, cycles);
+        Ok((
+            self.sensor.detector.detect_from_scf(&self.scratch.scf),
+            cycles,
+        ))
     }
 
     /// Streams one batch of observations through the platform and returns
@@ -635,23 +587,32 @@ mod tests {
 
     #[test]
     fn spectra_fed_decisions_match_raw_sample_decisions() {
-        // The spectra-fed path must reproduce the raw-sample decision
-        // (and its statistic) exactly: same DSCF, same cycle accounting.
+        // The backend path decides from the observation's shared software
+        // spectra; it must reproduce the raw-sample session decision (and
+        // its statistic) exactly, with the same session accounting.
         let mut via_samples = SensingSession::from_sensor(sensor());
-        let mut via_spectra = SensingSession::from_sensor(sensor());
-        assert!(via_spectra.shares_software_spectra());
-        let engine = via_spectra.engine().clone();
+        let mut via_observation = SensingSession::from_sensor(sensor());
+        assert!(via_observation.shares_software_spectra());
         let n = via_samples.samples_per_decision();
         for trial in 0..3u64 {
             let samples = observation(trial % 2 == 0, 3.0, n, 50 + trial);
-            let spectra = engine.compute_spectra(&samples).unwrap();
             let a = via_samples.decide(&samples).unwrap();
-            let b = via_spectra.decide_from_spectra(&spectra).unwrap();
-            assert_eq!(a, b);
+            let b = SensingBackend::decide(
+                &mut via_observation,
+                &mut Observation::from_samples(samples),
+            )
+            .unwrap();
+            assert_eq!(b.verdict, a.decision);
+            assert_eq!(b.statistic.to_bits(), a.statistic.to_bits());
+            assert_eq!(b.threshold, a.threshold);
+            assert_eq!(b.metrics, Some(via_observation.session_metrics()));
         }
-        assert_eq!(via_samples.decisions(), via_spectra.decisions());
-        assert_eq!(via_samples.session_metrics(), via_spectra.session_metrics());
-        assert_eq!(via_spectra.configurations(), 1);
+        assert_eq!(via_samples.decisions(), via_observation.decisions());
+        assert_eq!(
+            via_samples.session_metrics(),
+            via_observation.session_metrics()
+        );
+        assert_eq!(via_observation.configurations(), 1);
     }
 
     #[test]
