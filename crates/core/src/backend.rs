@@ -846,33 +846,74 @@ mod tests {
     }
 
     /// Broken input must never read as "band vacant": with NaN or +Inf at
-    /// every 7th sample, every batch backend returns an error, never a
-    /// verdict — the software CFD and energy detectors, the analytic SoC
-    /// session, and an OR fusion of them.
+    /// every 7th sample, every backend returns an error, never a verdict —
+    /// the software CFD and energy detectors, the analytic SoC session,
+    /// the lockstep SoC session and the raw-sample analytic SoC sensor
+    /// (both of which window the samples on the platform), and an OR
+    /// fusion of them.
     #[test]
     fn non_finite_samples_fail_every_backend() {
         let params = ScfParams::new(32, 7, 16).unwrap();
         let application = CfdApplication::new(32, 7, 16).unwrap();
         let cfd = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
         let energy = EnergyDetector::new(1.0, 0.05, params.samples_needed()).unwrap();
-        let session = SessionRecipe::new(application, &Platform::paper(), 0.35, 1);
+        let session = SessionRecipe::new(application.clone(), &Platform::paper(), 0.35, 1);
+        let lockstep = Platform::paper().with_mode(tiled_soc::config::ExecutionMode::Lockstep);
+        let simulated = SessionRecipe::new(application.clone(), &lockstep, 0.35, 1);
         let fleet = crate::fusion::FusionCenter::new(crate::fusion::FusionRule::Or)
             .with_member(energy.clone())
             .with_member(cfd.clone())
             .with_member(session.clone());
-        let recipes: [&dyn BackendRecipe; 4] = [&cfd, &energy, &session, &fleet];
+        let mut sensor =
+            crate::sensing::SpectrumSensor::new(application, &Platform::paper(), 0.35, 1).unwrap();
+        let refused = DspError::NonFiniteSample { index: 0 };
+        let on_platform = CfdError::Soc(tiled_soc::error::SocError::Dsp(refused.clone()));
+        let recipes: [(&dyn BackendRecipe, &CfdError); 5] = [
+            (&cfd, &CfdError::Dsp(refused.clone())),
+            (&energy, &CfdError::Dsp(refused.clone())),
+            (&session, &CfdError::Dsp(refused.clone())),
+            (&simulated, &on_platform),
+            (&fleet, &CfdError::Dsp(refused.clone())),
+        ];
         for bad in [f64::NAN, f64::INFINITY] {
             let mut samples = busy(&params, 3.0, 9);
             for sample in samples.iter_mut().step_by(7) {
                 sample.re = bad;
             }
+            for (recipe, error) in recipes {
+                let mut observation = Observation::from_samples(samples.clone());
+                let result = recipe.build().unwrap().decide(&mut observation);
+                assert_eq!(result.as_ref(), Err(error), "{} on {bad}", recipe.label());
+            }
+            let raw = sensor.decide(&samples).map(Decision::from_outcome);
+            assert_eq!(raw.as_ref(), Err(&on_platform), "raw-sample SoC on {bad}");
+        }
+    }
+
+    /// Finite input whose DSCF would overflow must not read as "band
+    /// vacant" either: scaled by 1e150 it used to decide with a NaN
+    /// statistic, and by 1e200 or 1e300 with a statistic of 0.0.
+    #[test]
+    fn overflowing_samples_fail_every_backend() {
+        let params = ScfParams::new(32, 7, 16).unwrap();
+        let application = CfdApplication::new(32, 7, 16).unwrap();
+        let cfd = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
+        let session = SessionRecipe::new(application, &Platform::paper(), 0.35, 1);
+        let fleet = crate::fusion::FusionCenter::new(crate::fusion::FusionRule::Or)
+            .with_member(cfd.clone())
+            .with_member(session.clone());
+        let recipes: [&dyn BackendRecipe; 3] = [&cfd, &session, &fleet];
+        for scale in [1e150, 1e200, 1e300] {
+            let samples: Vec<Cplx> = busy(&params, 3.0, 9).iter().map(|&x| x * scale).collect();
             for recipe in recipes {
                 let mut observation = Observation::from_samples(samples.clone());
                 let result = recipe.build().unwrap().decide(&mut observation);
-                assert_eq!(
-                    result,
-                    Err(CfdError::Dsp(DspError::NonFiniteSample { index: 0 })),
-                    "{} on {bad}",
+                assert!(
+                    matches!(
+                        result,
+                        Err(CfdError::Dsp(DspError::SpectrumOverflow { block: 0, .. }))
+                    ),
+                    "{} at {scale:e}: {result:?}",
                     recipe.label()
                 );
             }

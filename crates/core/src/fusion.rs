@@ -28,8 +28,9 @@
 //! always meets the same per-sensor realisations, on any replica, under
 //! any worker count — which keeps fused sweeps bit-identical to serial
 //! ones under common random numbers. Impaired members of one decide may
-//! run on several of the host's cores, but their decisions are fused in
-//! member order, so the lane count never shows in the result.
+//! run on several lanes of the host ([`cfd_dsp::lanes`]), but their
+//! decisions are fused in member order, so the lane count never shows in
+//! the result.
 //!
 //! ## Example
 //!
@@ -66,9 +67,11 @@
 use crate::backend::{BackendRecipe, Decision, Observation, SensingBackend};
 use crate::error::CfdError;
 use cfd_dsp::complex::Cplx;
+use cfd_dsp::lanes;
+// The fan-out pin compares the lanes used against the host's core count.
+#[cfg(test)]
+use cfd_dsp::lanes::host_cores;
 use std::fmt;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Cached handles to the `fusion.*` instruments. Counters are always
@@ -359,19 +362,15 @@ fn mix_seed(seed: u64, salt: u64) -> u64 {
 }
 
 /// Observations shorter than this decide their impaired members on the
-/// caller alone. A scoped spawn + join costs about 67 µs on a 2-core Xeon
-/// while impairing costs about 68 ns a sample, so below this length the
-/// helper lane costs more than the members it would take over: without the
-/// floor, the 1 024-sample `section5_evaluation --fusion` sweeps ran 11–24 %
-/// slower.
-const PARALLEL_FLOOR_SAMPLES: usize = 4096;
-
-/// The host's core count, read once per process: uncached,
-/// `available_parallelism` reads cgroup files on every call (~28 µs).
-fn host_cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
-}
+/// caller alone. A fan-out costs about 1 µs while the helper lane is still
+/// polling and 40–50 µs when it has to be woken (2-core Xeon, AVX-512,
+/// rustc 1.95.0). Against that, a 4-member shadowed fleet of 32-point CFD
+/// members, decided back to back and with 2 ms gaps that park the helper,
+/// broke even at 128 samples and decided faster on two lanes from 256
+/// samples up (p50 at 1 024 samples: 290–460 → 180–240 µs back to back,
+/// 320–490 → 250–290 µs spaced). The floor leaves a 4× margin over that
+/// for fleets whose members cost less per sample.
+const PARALLEL_FLOOR_SAMPLES: usize = 1024;
 
 /// One impaired member's share of a fused decide: everything it touches
 /// is its own, so lanes never share mutable state.
@@ -391,34 +390,6 @@ impl ImpairedMember<'_> {
     }
 }
 
-/// Decides `members` on `lanes` lanes: the caller is one, and each helper
-/// thread pulls the next member index until none is left. With one lane
-/// no thread is spawned. A helper's panic resumes on the caller with its
-/// own payload once every lane has finished.
-///
-/// The index counter publishes nothing, so it is `Relaxed`: each member's
-/// mutex and the joins carry its outcome back to the caller.
-fn decide_on_lanes(members: &[Mutex<ImpairedMember<'_>>], samples: &[Cplx], lanes: usize) {
-    let next = AtomicUsize::new(0);
-    let lane = || {
-        while let Some(member) = members.get(next.fetch_add(1, Ordering::Relaxed)) {
-            member
-                .lock()
-                .expect("each member is claimed by exactly one lane")
-                .decide(samples);
-        }
-    };
-    std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..lanes).map(|_| scope.spawn(lane)).collect();
-        lane();
-        for helper in helpers {
-            if let Err(payload) = helper.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-}
-
 impl SensingBackend for FusionCenter {
     /// `fusion-<rule>(<member labels>)`, e.g. `fusion-2of3(cfd+cfd+cfd)`.
     fn label(&self) -> String {
@@ -433,18 +404,20 @@ impl SensingBackend for FusionCenter {
     /// overlay), then fuses the member decisions under the rule.
     ///
     /// Clean members decide on the caller, sharing the observation's
-    /// caches. Impaired members decide on `min(cores, impaired members)`
-    /// lanes, or on the caller alone for an observation shorter than
-    /// 4 096 samples. Decisions are fused in member order, so the result
-    /// is bit-identical whatever the lane count.
+    /// caches. Impaired members are spread over the process's lanes
+    /// ([`cfd_dsp::lanes::fan_out`]: the caller plus whichever helpers
+    /// are idle), or decide on the caller alone for an observation shorter
+    /// than 1 024 samples. A member's own DSCF fold then runs on its lane.
+    /// Decisions are fused in member order, so the result is
+    /// bit-identical whatever the lane count.
     ///
     /// Hard rules report the vote count as the fused statistic against a
     /// threshold of `votes_needed - 0.5`; soft combining reports the
     /// summed member statistic against the fleet threshold. The decision
     /// is timed into the `fusion.decide_ns` histogram while telemetry is
     /// enabled. `fusion.decisions`, `fusion.member_decisions`,
-    /// `fusion.parallel_decisions` and `fusion.split_votes` count fused
-    /// decides that succeed, always.
+    /// `fusion.parallel_decisions` (decides that obtained a helper lane)
+    /// and `fusion.split_votes` count fused decides that succeed, always.
     ///
     /// # Errors
     ///
@@ -485,12 +458,20 @@ impl SensingBackend for FusionCenter {
             }
         }
         let samples = observation.samples();
+        // Each member is claimed by exactly one task, and its mutex carries
+        // the outcome back to the caller.
+        let decide = |_lane: usize, index: usize| {
+            impaired[index]
+                .lock()
+                .expect("each member is claimed by exactly one task")
+                .decide(samples)
+        };
         let lanes = if samples.len() < PARALLEL_FLOOR_SAMPLES {
+            (0..impaired.len()).for_each(|index| decide(0, index));
             1
         } else {
-            host_cores().min(impaired.len())
+            lanes::fan_out(impaired.len(), decide)
         };
-        decide_on_lanes(&impaired, samples, lanes);
         for member in impaired {
             let member = member
                 .into_inner()

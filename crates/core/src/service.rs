@@ -713,6 +713,9 @@ impl ServiceBuilder {
             let worker_queue = Arc::clone(&queue);
             let worker_shared = Arc::clone(&shared);
             handles.push(thread::spawn(move || {
+                // The workers already occupy the host's cores: their
+                // backends' fan-outs stay on them.
+                cfd_dsp::lanes::enter_pool_worker();
                 worker_loop(&worker_queue, shard_subscriptions, &worker_shared)
             }));
             queues.push(queue);

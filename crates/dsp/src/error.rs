@@ -44,6 +44,16 @@ pub enum DspError {
         /// Index of the first offending sample in the input.
         index: usize,
     },
+    /// A block spectrum of finite input is too large for the DSCF and its
+    /// cyclic profile to stay finite. Refused for the same reason as
+    /// [`DspError::NonFiniteSample`]: an overflowing DSCF would read as
+    /// "band vacant".
+    SpectrumOverflow {
+        /// Index of the first offending block.
+        block: usize,
+        /// Index of its first offending bin.
+        bin: usize,
+    },
 }
 
 impl fmt::Display for DspError {
@@ -68,6 +78,10 @@ impl fmt::Display for DspError {
             DspError::NonFiniteSample { index } => {
                 write!(f, "sample {index} is not finite (NaN or infinite)")
             }
+            DspError::SpectrumOverflow { block, bin } => write!(
+                f,
+                "bin {bin} of block spectrum {block} is too large for a finite DSCF"
+            ),
         }
     }
 }

@@ -50,6 +50,7 @@ pub mod detector;
 pub mod error;
 pub mod fft;
 pub mod fixed;
+pub mod lanes;
 pub mod metrics;
 pub mod scf;
 pub mod signal;

@@ -20,10 +20,11 @@
 use crate::complex::Cplx;
 use crate::error::DspError;
 use crate::fft::{block_spectrum, block_spectrum_into, FftPlan};
+use crate::lanes;
 use crate::window::Window;
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Cached handles to the DSCF stage histograms ([`ScfEngine`] is
 /// `Clone + serde`-derived, so the handles live at module scope rather
@@ -511,21 +512,52 @@ struct RowSegment {
     rev: u32,
 }
 
-/// Reusable per-thread staging of the accumulation kernel: the block
-/// spectra (direct and index-reversed) and one row-band of accumulators,
-/// all split into separate re/im planes so the segment loops are pure
-/// vertical `f64` operations the vectorised band kernel turns into packed
-/// loads and adds. Thread-local rather than per-engine because
-/// [`ScfEngine`] is shared immutably across sweep workers.
+/// The staged operand planes of one accumulation: the block spectra
+/// (direct and index-reversed), split into separate re/im planes so the
+/// segment loops are pure vertical `f64` operations the vectorised band
+/// kernel turns into packed loads and adds.
 #[derive(Default)]
-struct ScfScratch {
+struct OperandPlanes {
     plus_re: Vec<f64>,
     plus_im: Vec<f64>,
     rev_re: Vec<f64>,
     rev_im: Vec<f64>,
+}
+
+/// One lane's working set in a batch accumulation: a row-band of
+/// accumulators (split re/im like the operands), the staging buffer a
+/// finished row is assembled in, and the lane's partial profile.
+#[derive(Default)]
+struct LaneScratch {
     acc_re: Vec<f64>,
     acc_im: Vec<f64>,
     row_buf: Vec<Cplx>,
+    profile: Vec<f64>,
+}
+
+/// Reusable per-thread staging of the accumulation kernel: the operand
+/// planes, which every lane of a batch fan-out reads, and one warm
+/// [`LaneScratch`] per lane (lane 0 is the caller's own). Thread-local
+/// rather than per-engine because [`ScfEngine`] is shared immutably
+/// across sweep workers.
+#[derive(Default)]
+struct ScfScratch {
+    planes: OperandPlanes,
+    lanes: Vec<Mutex<LaneScratch>>,
+}
+
+/// The first `count` lane slabs of a scratch, created on first use.
+fn lane_slabs(lanes: &mut Vec<Mutex<LaneScratch>>, count: usize) -> &mut [Mutex<LaneScratch>] {
+    if lanes.len() < count {
+        lanes.resize_with(count, Mutex::default);
+    }
+    &mut lanes[..count]
+}
+
+/// A lane slab's lock. Every band overwrites the parts of the slab it
+/// reads, so a slab left behind by a panicking band is still usable.
+fn lock_lane(lane: &Mutex<LaneScratch>) -> MutexGuard<'_, LaneScratch> {
+    lane.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {
@@ -636,18 +668,17 @@ fn seg_pass_sub<const B: usize>(ar: &mut [f64], ai: &mut [f64], ops: &[SegOperan
 /// incremental single-block / window passes, so every path reads operands
 /// with exactly the same staged values.
 fn stage_operand_planes<'a>(
-    scratch: &mut ScfScratch,
+    planes: &mut OperandPlanes,
     k: usize,
     blocks: impl ExactSizeIterator<Item = &'a [Cplx]>,
 ) {
     let n = blocks.len();
-    let ScfScratch {
+    let OperandPlanes {
         plus_re,
         plus_im,
         rev_re,
         rev_im,
-        ..
-    } = scratch;
+    } = planes;
     for plane in [&mut *plus_re, &mut *plus_im, &mut *rev_re, &mut *rev_im] {
         plane.clear();
         plane.resize(n * k, 0.0);
@@ -683,17 +714,16 @@ fn accumulate_band_body(
     band: std::ops::Range<usize>,
     half: usize,
     k: usize,
-    scratch: &mut ScfScratch,
+    planes: &OperandPlanes,
+    lane: &mut LaneScratch,
 ) {
-    let ScfScratch {
+    let OperandPlanes {
         plus_re,
         plus_im,
         rev_re,
         rev_im,
-        acc_re,
-        acc_im,
-        ..
-    } = scratch;
+    } = planes;
+    let LaneScratch { acc_re, acc_im, .. } = lane;
     let n = plus_re.len() / k;
     for row in band.clone() {
         let acc_base = (row - band.start) * half;
@@ -758,9 +788,10 @@ fn accumulate_band_generic(
     band: std::ops::Range<usize>,
     half: usize,
     k: usize,
-    scratch: &mut ScfScratch,
+    planes: &OperandPlanes,
+    lane: &mut LaneScratch,
 ) {
-    accumulate_band_body(segments, row_bounds, band, half, k, scratch);
+    accumulate_band_body(segments, row_bounds, band, half, k, planes, lane);
 }
 
 /// The same band kernel compiled for AVX2 (4-wide `f64` lanes instead of
@@ -776,9 +807,10 @@ fn accumulate_band_avx2(
     band: std::ops::Range<usize>,
     half: usize,
     k: usize,
-    scratch: &mut ScfScratch,
+    planes: &OperandPlanes,
+    lane: &mut LaneScratch,
 ) {
-    accumulate_band_body(segments, row_bounds, band, half, k, scratch);
+    accumulate_band_body(segments, row_bounds, band, half, k, planes, lane);
 }
 
 /// The same band kernel compiled for AVX-512 (8-wide `f64` lanes). Like
@@ -794,9 +826,10 @@ fn accumulate_band_avx512(
     band: std::ops::Range<usize>,
     half: usize,
     k: usize,
-    scratch: &mut ScfScratch,
+    planes: &OperandPlanes,
+    lane: &mut LaneScratch,
 ) {
-    accumulate_band_body(segments, row_bounds, band, half, k, scratch);
+    accumulate_band_body(segments, row_bounds, band, half, k, planes, lane);
 }
 
 /// The widest vector tier the host supports (checked once per call site;
@@ -870,6 +903,34 @@ fn finish_profile(profile: &mut [f64], m: usize) {
     }
     for (j, cell) in neg.iter_mut().enumerate() {
         *cell = pos[m - j];
+    }
+}
+
+/// The largest real or imaginary part a block spectrum bin may have. With
+/// every part at most `B`, a block's product term is at most `2B²`, the
+/// normalised DSCF cell too, and the profile's `|S|²` at most `8B⁴`. For
+/// `B = 2²⁵⁵` that is `2¹⁰²³`, still below `f64::MAX`, so no step from the
+/// spectra to the detector statistic can overflow.
+const SPECTRUM_BOUND: f64 = 5.789_604_461_865_81e76;
+
+/// Grids narrower than this accumulate on the caller alone; wider ones
+/// spread their row bands over every lane ([`crate::lanes::fan_out`]).
+/// Measured on a 2-core Xeon (AVX-512, rustc 1.95.0), 8-block profile
+/// folds, p50: a fan-out costs about 1 µs while the helper is still
+/// polling and 40–50 µs when it has to be woken. A 255×255 fold takes
+/// about 280 µs on one lane and 165 µs on two, a 511×511 fold 1 020 and
+/// 620 µs. A 127×127 fold takes about 80 µs on one lane and 60 µs on two
+/// with a polling helper, a gain a woken helper would eat. The 255×255
+/// floor keeps both service grids (31×31 and 127×127) on the caller.
+const LANE_FLOOR_GRID: usize = 255;
+
+/// Runs the `bands` band tasks of one accumulation as `task(lane, band)`:
+/// spread over the lanes when `fan`, on the caller (lane 0) otherwise.
+fn run_bands(bands: usize, fan: bool, task: &(dyn Fn(usize, usize) + Sync)) {
+    if fan {
+        lanes::fan_out(bands, task);
+    } else {
+        (0..bands).for_each(|band| task(0, band));
     }
 }
 
@@ -963,20 +1024,21 @@ fn accumulate_band(
     band: std::ops::Range<usize>,
     half: usize,
     k: usize,
-    scratch: &mut ScfScratch,
+    planes: &OperandPlanes,
+    lane: &mut LaneScratch,
 ) {
     match vector_tier() {
         // SAFETY: each arm is gated on runtime detection of its feature.
         #[cfg(target_arch = "x86_64")]
         VectorTier::Avx512 => unsafe {
-            accumulate_band_avx512(segments, row_bounds, band, half, k, scratch)
+            accumulate_band_avx512(segments, row_bounds, band, half, k, planes, lane)
         },
         #[cfg(target_arch = "x86_64")]
         VectorTier::Avx2 => unsafe {
-            accumulate_band_avx2(segments, row_bounds, band, half, k, scratch)
+            accumulate_band_avx2(segments, row_bounds, band, half, k, planes, lane)
         },
         VectorTier::Generic => {
-            accumulate_band_generic(segments, row_bounds, band, half, k, scratch)
+            accumulate_band_generic(segments, row_bounds, band, half, k, planes, lane)
         }
     }
 }
@@ -1473,13 +1535,18 @@ impl ScfEngine {
     /// Every sample a block windows is checked first: a NaN or infinity
     /// would otherwise propagate through the DSCF into a statistic that
     /// reads as "band vacant". Each sample is checked once, however much
-    /// the blocks overlap.
+    /// the blocks overlap. The finished spectra are then checked against
+    /// the largest bin magnitude for which the DSCF and its cyclic profile
+    /// stay finite, because finite but huge input overflows the same way.
     ///
     /// # Errors
     ///
     /// * [`DspError::InsufficientSamples`] if the signal is too short,
     /// * [`DspError::NonFiniteSample`] if a windowed sample is NaN or
-    ///   infinite (`out` is left unchanged).
+    ///   infinite (`out` is left unchanged),
+    /// * [`DspError::SpectrumOverflow`] if a bin's real or imaginary part
+    ///   exceeds 2²⁵⁵ in magnitude (`out` holds the spectra, which must
+    ///   not be integrated).
     pub fn compute_spectra_into(
         &self,
         signal: &[Cplx],
@@ -1516,6 +1583,16 @@ impl ScfEngine {
                 &self.window_coeffs,
                 block,
             )?;
+        }
+        for (n, block) in out.iter().enumerate() {
+            // Branch-free over the block so the scan vectorises; the
+            // comparison is false for a NaN bin too.
+            let in_range =
+                |x: &Cplx| (x.re.abs() <= SPECTRUM_BOUND) & (x.im.abs() <= SPECTRUM_BOUND);
+            if !block.iter().fold(true, |ok, x| ok & in_range(x)) {
+                let bin = block.iter().position(|x| !in_range(x)).unwrap_or(0);
+                return Err(DspError::SpectrumOverflow { block: n, bin });
+            }
         }
         Ok(())
     }
@@ -1612,72 +1689,124 @@ impl ScfEngine {
     /// rejected: without FMA in the target feature set it lowers to a libm
     /// call per point, 6× slower), so the result is bit-identical to
     /// [`dscf_reference`].
+    ///
+    /// From [`LANE_FLOOR_GRID`] up, the row bands are spread over the
+    /// process's lanes ([`lanes::fan_out`]): the planes are staged once on
+    /// the caller and read by every lane, each lane accumulates into its
+    /// own slab, matrix rows go to disjoint outputs and partial profiles
+    /// are max-merged, so the bits do not depend on the lane count.
     fn accumulate_segments(
         &self,
         spectra: &[Vec<Cplx>],
         scratch: &mut ScfScratch,
-        mut sink: BandSink<'_>,
+        sink: BandSink<'_>,
     ) {
         let m = self.params.max_offset;
         let p = self.params.grid_size();
         let half = m + 1;
         let k = self.params.fft_len;
         let n = spectra.len();
-        stage_operand_planes(scratch, k, spectra.iter().map(|block| &block[..k]));
+        stage_operand_planes(
+            &mut scratch.planes,
+            k,
+            spectra.iter().map(|block| &block[..k]),
+        );
         // Row-band × block cache blocking: the accumulator slab covers only
         // one band of rows (~64 KiB across the re + im planes), stays hot
         // while every staged block streams through it, and is handed to
         // the sink before the next band reuses it — so the accumulator
         // traffic never round-trips through memory at any grid size.
         let band_rows = (4096 / half).clamp(4, 512).min(p);
-        for plane in [&mut scratch.acc_re, &mut scratch.acc_im] {
-            plane.clear();
-            plane.resize(band_rows * half, 0.0);
-        }
-        if let BandSink::Matrix(_) = sink {
-            scratch.row_buf.clear();
-            scratch.row_buf.resize(p, Cplx::ZERO);
-        }
-        let scale = 1.0 / n as f64;
-        let mut band_start = 0usize;
-        while band_start < p {
-            let band_end = (band_start + band_rows).min(p);
+        let bands = p.div_ceil(band_rows);
+        let fan = p >= LANE_FLOOR_GRID;
+        let ScfScratch { planes, lanes } = scratch;
+        let slabs = lane_slabs(lanes, if fan { lanes::host_cores() } else { 1 });
+        for lane in slabs.iter_mut() {
+            let lane = lane.get_mut().unwrap_or_else(PoisonError::into_inner);
             // No slab clearing: each row's segments tile `[0, half)`
             // exactly, and the first pass of every segment writes through
-            // `seg_pass_init`.
+            // `seg_pass_init`; every row a band hands on is written first.
+            lane.acc_re.resize(band_rows * half, 0.0);
+            lane.acc_im.resize(band_rows * half, 0.0);
+            match sink {
+                BandSink::Matrix(_) => lane.row_buf.resize(p, Cplx::ZERO),
+                BandSink::Profile(_) => {
+                    lane.profile.clear();
+                    lane.profile.resize(half, 0.0);
+                }
+            }
+        }
+        let slabs = &*slabs;
+        let planes = &*planes;
+        let scale = 1.0 / n as f64;
+        // Accumulates band `band` into `lane`'s slab and returns its rows.
+        let accumulate = |band: usize, lane: &mut LaneScratch| {
+            let rows = band * band_rows..((band + 1) * band_rows).min(p);
             accumulate_band(
                 &self.segments,
                 &self.row_bounds,
-                band_start..band_end,
+                rows.clone(),
                 half,
                 k,
-                scratch,
+                planes,
+                lane,
             );
-            for row in band_start..band_end {
-                let local = (row - band_start) * half;
-                let ar = &scratch.acc_re[local..][..half];
-                let ai = &scratch.acc_im[local..][..half];
-                match &mut sink {
-                    // Normalise and mirror: `out = acc/N` for `a ≥ 0`,
-                    // conjugate for `a < 0` — the same single-rounded
-                    // scaling the pre-segment kernel applied via
-                    // `Cplx * f64`. Each row is assembled in an L1-hot
-                    // staging buffer, then streamed into the (cold,
-                    // write-once) output with wide non-temporal copies.
-                    BandSink::Matrix(out) => {
-                        finalize_row_scalar(&mut scratch.row_buf, ar, ai, m, scale);
-                        copy_row_out(&mut out.values[row * p..][..p], &scratch.row_buf);
+            rows.len()
+        };
+        match sink {
+            // Normalise and mirror: `out = acc/N` for `a ≥ 0`, conjugate
+            // for `a < 0` — the same single-rounded scaling the
+            // pre-segment kernel applied via `Cplx * f64`. Each row is
+            // assembled in an L1-hot staging buffer, then streamed into
+            // the (cold, write-once) output with wide non-temporal copies.
+            // Each band owns its output rows, so lanes never share one.
+            BandSink::Matrix(out) => {
+                let outputs: Vec<Mutex<&mut [Cplx]>> = out
+                    .values
+                    .chunks_mut(band_rows * p)
+                    .map(Mutex::new)
+                    .collect();
+                run_bands(bands, fan, &|lane, band| {
+                    let lane = &mut *lock_lane(&slabs[lane]);
+                    let mut output = outputs[band]
+                        .lock()
+                        .expect("each band is claimed by exactly one lane");
+                    accumulate(band, lane);
+                    for (local, row) in output.chunks_exact_mut(p).enumerate() {
+                        let ar = &lane.acc_re[local * half..][..half];
+                        let ai = &lane.acc_im[local * half..][..half];
+                        finalize_row_scalar(&mut lane.row_buf, ar, ai, m, scale);
+                        copy_row_out(row, &lane.row_buf);
                     }
-                    BandSink::Profile(profile) => {
-                        fold_row_profile(&mut profile[m..], ar, ai, scale);
+                    // Order this lane's streaming stores before it reports
+                    // the band done.
+                    finalize_fence();
+                });
+            }
+            BandSink::Profile(profile) => {
+                run_bands(bands, fan, &|lane, band| {
+                    let lane = &mut *lock_lane(&slabs[lane]);
+                    let rows = accumulate(band, lane);
+                    for local in 0..rows {
+                        let ar = &lane.acc_re[local * half..][..half];
+                        let ai = &lane.acc_im[local * half..][..half];
+                        fold_row_profile(&mut lane.profile, ar, ai, scale);
+                    }
+                });
+                // The serial fold keeps the largest square with the same
+                // `>` predicate and never stores a NaN, so max-merging the
+                // lanes' partial maxima reproduces it bit for bit, whichever
+                // lane folded which band.
+                for lane in slabs {
+                    let lane = lock_lane(lane);
+                    for (best, &partial) in profile[m..].iter_mut().zip(&lane.profile) {
+                        if partial > *best {
+                            *best = partial;
+                        }
                     }
                 }
+                finish_profile(profile, m);
             }
-            band_start = band_end;
-        }
-        match sink {
-            BandSink::Matrix(_) => finalize_fence(),
-            BandSink::Profile(profile) => finish_profile(profile, m),
         }
     }
 
@@ -1876,15 +2005,14 @@ impl ScfEngine {
         );
         segment_runs().add(self.segments.len() as u64);
         SCF_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            stage_operand_planes(scratch, k, std::iter::once(&block[..k]));
-            let ScfScratch {
+            let planes = &mut scratch.borrow_mut().planes;
+            stage_operand_planes(planes, k, std::iter::once(&block[..k]));
+            let OperandPlanes {
                 plus_re,
                 plus_im,
                 rev_re,
                 rev_im,
-                ..
-            } = &*scratch;
+            } = &*planes;
             for (row, bounds) in self.row_bounds.windows(2).enumerate() {
                 let base = row * half;
                 for seg in &self.segments[bounds[0] as usize..bounds[1] as usize] {
@@ -1937,15 +2065,14 @@ impl ScfEngine {
         }
         segment_runs().add((self.segments.len() * blocks.len()) as u64);
         SCF_SCRATCH.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            stage_operand_planes(scratch, k, blocks.iter().map(|block| &block[..k]));
-            let ScfScratch {
+            let planes = &mut scratch.borrow_mut().planes;
+            stage_operand_planes(planes, k, blocks.iter().map(|block| &block[..k]));
+            let OperandPlanes {
                 plus_re,
                 plus_im,
                 rev_re,
                 rev_im,
-                ..
-            } = &*scratch;
+            } = &*planes;
             for (row, bounds) in self.row_bounds.windows(2).enumerate() {
                 let base = row * half;
                 for seg in &self.segments[bounds[0] as usize..bounds[1] as usize] {
@@ -1992,13 +2119,13 @@ impl ScfEngine {
         let scale = 1.0 / num_blocks as f64;
         SCF_SCRATCH.with(|scratch| {
             let scratch = &mut *scratch.borrow_mut();
-            scratch.row_buf.clear();
-            scratch.row_buf.resize(p, Cplx::ZERO);
+            let row_buf = &mut lock_lane(&lane_slabs(&mut scratch.lanes, 1)[0]).row_buf;
+            row_buf.resize(p, Cplx::ZERO);
             for row in 0..p {
                 let ar = &acc.acc_re[row * half..][..half];
                 let ai = &acc.acc_im[row * half..][..half];
-                finalize_row_scalar(&mut scratch.row_buf, ar, ai, m, scale);
-                copy_row_out(&mut out.values[row * p..(row + 1) * p], &scratch.row_buf);
+                finalize_row_scalar(row_buf, ar, ai, m, scale);
+                copy_row_out(&mut out.values[row * p..(row + 1) * p], row_buf);
             }
         });
         finalize_fence();
@@ -2528,6 +2655,37 @@ mod tests {
         let mut signal = awgn(gapped.params().samples_needed(), 1.0, 3);
         signal[17] = Cplx::new(f64::NAN, 0.0);
         assert!(gapped.compute_spectra(&signal).is_ok());
+    }
+
+    #[test]
+    fn spectra_refuse_bins_whose_dscf_would_overflow() {
+        assert_eq!(SPECTRUM_BOUND, 2f64.powi(255));
+        let engine = ScfEngine::new(ScfParams::new(32, 7, 4).unwrap()).unwrap();
+        let noise = awgn(engine.params().samples_needed(), 1.0, 3);
+        let scaled = |scale: f64| -> Vec<Cplx> { noise.iter().map(|&x| x * scale).collect() };
+        // 1e306 overflows inside the FFT already (an infinite bin); the
+        // others stay finite there but not through the DSCF's squares.
+        for scale in [1e80, 1e150, 1e300, 1e306] {
+            assert!(
+                matches!(
+                    engine.compute_spectra(&scaled(scale)),
+                    Err(DspError::SpectrumOverflow { block: 0, .. })
+                ),
+                "scale {scale:e}"
+            );
+        }
+        // Up to the bound every step to the profile stays finite.
+        let spectra = engine.compute_spectra(&scaled(1e74)).unwrap();
+        let mut profile = Vec::new();
+        engine.cyclic_profile_from_spectra_into(&spectra, &mut profile);
+        assert!(profile.iter().all(|v| v.is_finite() && *v > 0.0));
+        // A single bin over the bound is located.
+        let mut signal = awgn(engine.params().samples_needed(), 1.0, 5);
+        signal[64] = Cplx::new(1e78, 0.0);
+        assert_eq!(
+            engine.compute_spectra(&signal).map(|_| ()),
+            Err(DspError::SpectrumOverflow { block: 2, bin: 0 })
+        );
     }
 
     #[test]

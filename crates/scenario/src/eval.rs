@@ -503,6 +503,9 @@ fn sweep_over_recipes(
             let scenarios_at = &scenarios_at;
             let failed = &failed;
             scope.spawn(move || {
+                // The workers already occupy the host's cores: their own
+                // DSCF folds and fusion fan-outs stay on them.
+                cfd_dsp::lanes::enter_pool_worker();
                 let mut replicas = match build_replicas(recipes) {
                     Ok(replicas) => replicas,
                     Err(error) => {

@@ -242,7 +242,8 @@ impl TiledSoc {
     ///
     /// # Errors
     ///
-    /// * [`SocError::Dsp`] if the signal is too short,
+    /// * [`SocError::Dsp`] if the signal is too short or one of the
+    ///   samples the blocks cover is NaN or infinite,
     /// * [`SocError::ExecutionFailure`] when switching execution paths
     ///   without a [`TiledSoc::reset`],
     /// * tile and execution errors otherwise.
@@ -272,6 +273,11 @@ impl TiledSoc {
                 needed,
                 available: signal.len(),
             }));
+        }
+        // A NaN or infinity would otherwise run through the DSCF into a
+        // statistic that reads as "band vacant".
+        if let Some(index) = signal[..needed].iter().position(|x| !x.is_finite()) {
+            return Err(SocError::Dsp(DspError::NonFiniteSample { index }));
         }
         let analytic = self.config.mode == ExecutionMode::Analytic;
         self.check_path(analytic)?;
