@@ -1,8 +1,8 @@
 //! Criterion bench of the scenario engine's hot path: licensed-user signal
 //! generation, channel application, and backend evaluation over a small
-//! SNR sweep — plus the serial-versus-parallel comparison of the batched
-//! sweep engine (`SweepBuilder::workers(1)` vs multi-worker runs), which
-//! is the headline measurement for the work-queue refactor.
+//! SNR sweep — plus the one-lane-versus-every-lane comparison of the
+//! sweep engine, whose cells are the tasks of one `cfd_dsp::lanes`
+//! fan-out.
 
 use cfd_dsp::detector::{CyclostationaryDetector, Detector, EnergyDetector};
 use cfd_dsp::scf::ScfParams;
@@ -106,8 +106,10 @@ fn bench_sweep_evaluation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs parallel execution of the identical sweep: same recipes,
-/// same seeded trials, bit-identical tables — only the scheduling differs.
+/// One lane vs every lane for the identical sweep: same recipes, same
+/// seeded trials, bit-identical tables — only the scheduling differs. The
+/// one-lane row runs on a thread marked as a worker of another pool, where
+/// the sweep's fan-out runs its cells in order.
 fn bench_sweep_engine_parallelism(c: &mut Criterion) {
     let mut group = c.benchmark_group("scenario_sweep_engine");
     group
@@ -120,32 +122,25 @@ fn bench_sweep_engine_parallelism(c: &mut Criterion) {
     let sweep = SnrSweep::new(vec![-4.0, 0.0, 4.0], 16).expect("valid sweep");
     let energy = EnergyDetector::new(1.0, 0.1, len).expect("valid detector");
     let cfd = CyclostationaryDetector::new(params, 0.35, 1).expect("valid detector");
-    let run_with = |workers: usize| {
+    let run = || {
         SweepBuilder::new(&scenario)
             .sweep(sweep.clone())
             .backend(energy.clone())
             .backend(cfd.clone())
-            .workers(workers)
             .run()
             .unwrap()
     };
-    group.bench_function("cfd_serial", |b| {
-        b.iter(|| run_with(1));
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            cfd_dsp::lanes::enter_pool_worker();
+            group.bench_function("cfd_serial", |b| {
+                b.iter(run);
+            });
+        });
     });
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut worker_counts = vec![2usize];
-    if cores > 2 {
-        worker_counts.push(cores);
-    }
-    for workers in worker_counts {
-        group.bench_with_input(
-            BenchmarkId::new("cfd_parallel", workers),
-            &workers,
-            |b, &workers| {
-                b.iter(|| run_with(workers));
-            },
-        );
-    }
+    group.bench_function("cfd_lanes", |b| {
+        b.iter(run);
+    });
     group.finish();
 }
 

@@ -1,6 +1,7 @@
 //! Functional cross-check of every implementation layer of the DSCF: golden
 //! model (eq. 3), systolic array, folded array, single-tile kernel, tiled
-//! SoC (lockstep and threaded). All must agree on the same input.
+//! SoC (the lockstep simulation and the analytic model). All must agree on
+//! the same input.
 //!
 //! Run with: `cargo run --release -p cfd-bench --bin functional_check`
 
@@ -43,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for (label, mode) in [
         ("lockstep", ExecutionMode::Lockstep),
-        ("threaded", ExecutionMode::Threaded),
+        ("analytic", ExecutionMode::Analytic),
     ] {
         let mut soc = TiledSoc::new(
             SocConfig::paper().with_mode(mode),

@@ -130,8 +130,8 @@ impl Platform {
     /// DSCF engine plus the closed-form cost model, which produces the
     /// same `SocRun` (equal DSCF, equal cycle/transfer counters) without
     /// per-cycle simulation, which is what Monte-Carlo sweeps want. Use
-    /// `.with_mode(ExecutionMode::Lockstep)` (or `Threaded`) for the
-    /// cycle-accurate golden-reference simulation.
+    /// `.with_mode(ExecutionMode::Lockstep)` for the cycle-accurate
+    /// golden-reference simulation.
     pub fn paper() -> Self {
         Platform {
             cores: 4,
@@ -196,9 +196,9 @@ mod tests {
         let soc = platform.soc_config();
         assert_eq!(soc.num_tiles, 4);
         assert!((soc.total_power_mw() - 200.0).abs() < 1e-9);
-        let p8 = Platform::with_cores(8).with_mode(ExecutionMode::Threaded);
+        let p8 = Platform::with_cores(8).with_mode(ExecutionMode::Lockstep);
         assert_eq!(p8.soc_config().num_tiles, 8);
-        assert_eq!(p8.mode, ExecutionMode::Threaded);
+        assert_eq!(p8.soc_config().mode, ExecutionMode::Lockstep);
     }
 
     #[test]

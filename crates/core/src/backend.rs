@@ -21,9 +21,9 @@
 //!   which then participates in `cfd-scenario`'s parallel ROC sweeps
 //!   without touching any of these crates.
 //! * [`BackendRecipe`] is the shareable description from which each sweep
-//!   worker builds its own backend replica; every `Clone + Sync` backend
+//!   lane builds its own backend replica; every `Clone + Sync` backend
 //!   is automatically its own recipe, and [`SessionRecipe`] opens a fresh
-//!   [`SensingSession`] per worker.
+//!   [`SensingSession`] per replica.
 //!
 //! # Example: a custom backend through the unified surface
 //!
@@ -603,13 +603,13 @@ impl SensingBackend for CyclostationaryDetector {
     }
 }
 
-/// A shareable recipe from which every sweep worker builds its own
+/// A shareable recipe from which every sweep lane builds its own
 /// [`SensingBackend`] replica.
 ///
 /// Backends are stateful (the platform-backed ones own whole simulated
 /// SoCs), so a single instance would force every decision of a parallel
 /// sweep through one `&mut` borrow. A recipe is the `Sync` description the
-/// workers share; replicas built from the same recipe must produce
+/// lanes share; replicas built from the same recipe must produce
 /// identical decisions for identical observations, so any partition of a
 /// trial set over replicas yields the same counts as one backend run
 /// serially.
@@ -651,7 +651,7 @@ where
 }
 
 /// Recipe opening a fresh [`SensingSession`] (one platform configuration,
-/// amortised over every decision of the replica's lifetime) per worker —
+/// amortised over every decision of the replica's lifetime) per replica —
 /// the platform counterpart of the `Clone` blanket recipe.
 ///
 /// # Examples

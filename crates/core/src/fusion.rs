@@ -26,7 +26,7 @@
 //! on call order. The fusion center therefore derives the impairment seed
 //! from a fingerprint of the observation's samples: the same observation
 //! always meets the same per-sensor realisations, on any replica, under
-//! any worker count — which keeps fused sweeps bit-identical to serial
+//! any lane count — which keeps fused sweeps bit-identical to one-lane
 //! ones under common random numbers. Impaired members of one decide may
 //! run on several lanes of the host ([`cfd_dsp::lanes`]), but their
 //! decisions are fused in member order, so the lane count never shows in
@@ -179,7 +179,7 @@ type ImpairFn = dyn Fn(&[Cplx], u64) -> Vec<Cplx> + Send + Sync;
 /// The seed passed in is derived by the fusion center from the
 /// observation's content and the member index (see the module docs), so
 /// realisations are independent across members but reproducible across
-/// replicas and worker counts. `cfd-scenario`'s `ChannelPipeline::impair`
+/// replicas and lane counts. `cfd-scenario`'s `ChannelPipeline::impair`
 /// plugs in directly:
 ///
 /// ```ignore

@@ -18,10 +18,9 @@
 //!   queue** per worker with an explicit backpressure policy:
 //!   [`Backpressure::Block`] stalls the producer until the worker drains
 //!   (never loses a hop), [`Backpressure::DropOldest`] sheds the oldest
-//!   queued hop and counts it in `service.drops`. The vendored crossbeam
-//!   stand-in only provides unbounded channels, so the bounded queue
-//!   (capacity, drop-oldest, buffer recycling) is implemented here on the
-//!   same `Mutex` + `Condvar` MPMC shape.
+//!   queued hop and counts it in `service.drops`. The bounded queue
+//!   (capacity, drop-oldest, buffer recycling) is a `Mutex` + `Condvar`
+//!   MPMC queue implemented here.
 //! * Channels are **sharded across workers by a stable hash** of the
 //!   channel id ([`shard_for`]), so a channel's sensor state never
 //!   migrates and the hot path takes no lock beyond its own shard queue.
@@ -348,8 +347,8 @@ struct QueueState {
 }
 
 /// The bounded MPMC ingress queue of one worker shard, with explicit
-/// backpressure. Same `Mutex` + `Condvar` shape as the vendored crossbeam
-/// channel, plus capacity, drop-oldest shedding and buffer recycling.
+/// backpressure: a `Mutex` + `Condvar` queue with capacity, drop-oldest
+/// shedding and buffer recycling.
 struct IngressQueue {
     state: Mutex<QueueState>,
     not_full: Condvar,
@@ -1040,5 +1039,41 @@ mod tests {
         ));
         // The healthy channel kept deciding: 5 blocks, window 4 -> 2.
         assert_eq!(healthy.len(), 2);
+    }
+
+    #[test]
+    fn a_non_finite_hop_fails_its_channel_and_spares_the_shard() {
+        let (poisoned, healthy) = (DecisionLog::new(), DecisionLog::new());
+        let subscription = |channel, log: &DecisionLog| {
+            ChannelSubscription::new(
+                channel,
+                StreamingConfig::new(params()),
+                recipe(),
+                log.clone(),
+            )
+        };
+        // One worker: both channels share its shard.
+        let scheduler = SensingScheduler::builder(ServiceConfig::new(1))
+            .subscribe(subscription(9, &poisoned))
+            .subscribe(subscription(4, &healthy))
+            .spawn()
+            .unwrap();
+        for hop in 0..6u64 {
+            let mut samples = awgn(32, 1.0, hop);
+            if hop == 4 {
+                samples[3] = Cplx::new(0.0, f64::INFINITY);
+            }
+            scheduler.push(9, &samples).unwrap();
+            scheduler.push(4, &awgn(32, 1.0, 10 + hop)).unwrap();
+        }
+        let error = scheduler.join().unwrap_err();
+        assert!(matches!(
+            error,
+            CfdError::Dsp(cfd_dsp::error::DspError::NonFiniteSample { index: 3 })
+        ));
+        // Hops 0..=3 decided once before the rejected hop failed the
+        // channel; the healthy one kept deciding (6 blocks, window 4 -> 3).
+        assert_eq!(poisoned.len(), 1);
+        assert_eq!(healthy.len(), 3);
     }
 }

@@ -68,6 +68,7 @@
 use crate::backend::{Decision, Observation, SensingBackend};
 use crate::error::CfdError;
 use cfd_dsp::complex::Cplx;
+use cfd_dsp::error::DspError;
 use cfd_dsp::scf::{ScfAccumulator, ScfEngine, ScfParams};
 use std::fmt;
 use std::sync::OnceLock;
@@ -413,9 +414,17 @@ impl<B: SensingBackend> StreamingSensor<B> {
     ///
     /// # Errors
     ///
-    /// Propagates backend and DSP errors; the sensor state is unchanged
-    /// for the samples not yet consumed.
+    /// * [`DspError::NonFiniteSample`] (in [`CfdError::Dsp`]) if a sample
+    ///   is NaN or infinite, with its index in `samples`: the whole hop is
+    ///   rejected, the sensor state is unchanged, and the next finite hop
+    ///   continues as if the rejected one had never been pushed;
+    /// * backend and DSP errors otherwise; the sensor state is unchanged
+    ///   for the samples not yet consumed.
     pub fn push_into(&mut self, samples: &[Cplx], out: &mut Vec<Decision>) -> Result<(), CfdError> {
+        // A NaN would outlive its block's retire until the next refresh.
+        if let Some(index) = samples.iter().position(|x| !x.is_finite()) {
+            return Err(CfdError::Dsp(DspError::NonFiniteSample { index }));
+        }
         self.tape.push(samples);
         let (k, hop, window) = {
             let p = self.engine.params();
@@ -676,6 +685,35 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn a_rejected_non_finite_hop_leaves_the_sensor_unchanged() {
+        let params = ScfParams::new(32, 7, 4).unwrap();
+        let sensor = || {
+            let backend = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
+            let config = StreamingConfig::new(params.clone()).with_refresh_interval(64);
+            StreamingSensor::new(config, backend).unwrap()
+        };
+        let (mut rejecting, mut twin) = (sensor(), sensor());
+        let mut poisoned = awgn(32, 1.0, 99);
+        poisoned[5] = Cplx::new(f64::NAN, 0.0);
+        let statistics =
+            |d: Vec<Decision>| d.iter().map(|d| d.statistic.to_bits()).collect::<Vec<_>>();
+        for hop in 0..12u64 {
+            let samples = awgn(32, 1.0, hop);
+            if hop == 6 {
+                // Mid-stream, between two incremental hops.
+                assert!(matches!(
+                    rejecting.push(&poisoned),
+                    Err(CfdError::Dsp(DspError::NonFiniteSample { index: 5 }))
+                ));
+                assert_eq!(rejecting.blocks_ingested(), twin.blocks_ingested());
+            }
+            let got = statistics(rejecting.push(&samples).unwrap());
+            assert_eq!(got, statistics(twin.push(&samples).unwrap()), "hop {hop}");
+        }
+        assert_eq!(rejecting.decisions_emitted(), 9);
     }
 
     #[test]

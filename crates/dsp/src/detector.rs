@@ -53,7 +53,7 @@ pub struct DetectionOutcome {
 /// platform-backed paths — whole simulated SoCs), so a single instance
 /// forces every decision through one `&mut` borrow and serialises
 /// Monte-Carlo sweeps. A factory is the shareable description from which
-/// each worker thread builds its own replica; replicas built from the same
+/// each sweep lane builds its own replica; replicas built from the same
 /// factory must produce identical decisions for identical observations, so
 /// any partition of a trial set over replicas yields the same counts as a
 /// single detector run serially.

@@ -428,7 +428,7 @@ pub fn block_spectrum_with_plan(
 }
 
 /// [`block_spectrum_with_plan`] writing into a caller-owned buffer, so hot
-/// loops (a sweep worker re-evaluating the same block layout every trial)
+/// loops (a sweep lane re-evaluating the same block layout every trial)
 /// reuse the spectrum allocation instead of reallocating per block.
 ///
 /// # Errors

@@ -9,8 +9,9 @@
 //!
 //! The helpers are started on the first fan-out that could use them.
 //! After each job a helper polls for the next one for a short, bounded
-//! time and then parks. Every user of the host's spare cores goes through
-//! this one budget, and three rules keep it from being oversubscribed:
+//! time and then parks. The DSCF row bands, the fusion members and the
+//! sweep cells all use this one budget; three rules keep it from being
+//! oversubscribed:
 //!
 //! * a fan-out claims only helpers that are idle, so concurrent callers
 //!   split the helpers between them instead of queueing on them;
@@ -79,10 +80,10 @@ pub fn host_cores() -> usize {
 }
 
 /// Marks the calling thread as a worker of another pool for the rest of
-/// its life: every fan-out issued from it runs serially on it. Worker
-/// pools (scenario sweeps, the sensing scheduler) call this first thing,
-/// because their workers already keep the host's cores busy; lending them
-/// the helpers as well would oversubscribe the host.
+/// its life: every fan-out issued from it runs serially on it, in task
+/// order. The sensing scheduler's pinned workers (the only other pool)
+/// call this first thing: they already keep the host's cores busy. A
+/// scenario sweep is one fan-out, so on a marked thread it runs one lane.
 pub fn enter_pool_worker() {
     SERIAL.with(|serial| serial.set(true));
 }

@@ -539,7 +539,7 @@ struct LaneScratch {
 /// planes, which every lane of a batch fan-out reads, and one warm
 /// [`LaneScratch`] per lane (lane 0 is the caller's own). Thread-local
 /// rather than per-engine because [`ScfEngine`] is shared immutably
-/// across sweep workers.
+/// across threads.
 #[derive(Default)]
 struct ScfScratch {
     planes: OperandPlanes,
@@ -1529,7 +1529,7 @@ impl ScfEngine {
 
     /// [`ScfEngine::compute_spectra`] writing into caller-owned buffers:
     /// `out` is resized to `num_blocks` and every inner spectrum reuses its
-    /// allocation, so sweep workers recompute spectra trial after trial
+    /// allocation, so sweep lanes recompute spectra trial after trial
     /// without churning the allocator.
     ///
     /// Every sample a block windows is checked first: a NaN or infinity

@@ -8,7 +8,7 @@
 //! [`CyclostationaryDetector`](cfd_dsp::detector::CyclostationaryDetector),
 //! the full tiled-SoC sensing path (a
 //! [`SessionRecipe`](cfd_core::backend::SessionRecipe) opening a
-//! `SensingSession` per worker), or any
+//! `SensingSession` per lane), or any
 //! user-defined backend — over a [`RadioScenario`] at each SNR of a sweep,
 //! and tabulates the detection probability `Pd` (decide "occupied" under
 //! H1) and false-alarm probability `Pfa` (decide "occupied" under H0) per
@@ -17,30 +17,34 @@
 //! ## Execution model
 //!
 //! Backends are stateful (the SoC path owns a whole simulated platform),
-//! so the sweep is described by recipes rather than backend instances:
-//! every worker thread builds its own replica of each backend once, and a
-//! work queue of `(snr_point, trial-chunk)` cells is distributed over the
-//! workers via crossbeam channels inside a [`std::thread::scope`].
+//! so the sweep is described by recipes rather than backend instances. The
+//! `(snr_point, trial-chunk)` cells of a sweep are the tasks of one
+//! [`lanes::fan_out`]: each lane of the process-wide lane budget builds
+//! its own replica of each backend on its first cell and keeps it for the
+//! rest of the sweep.
 //!
 //! Determinism is preserved under any scheduling: observations are seeded
 //! by trial index (common random numbers), decisions are independent
-//! booleans, and the per-cell detection counts are merged by integer
-//! addition — so the table is bit-identical for every worker count.
+//! booleans, and every cell writes its detection counts into its own slot,
+//! merged in cell order — so the table is bit-identical for every lane
+//! count, one lane (cells in order on the caller) included. When cells
+//! fail, a replica-build error wins, then the lowest-ordered failing
+//! cell's error: a cell is skipped only when a lower one already failed.
 //!
 //! ## Shared block spectra
 //!
 //! The dominant cost of a CFD trial is the windowed FFT + DSCF pipeline,
 //! and the block spectra (eq. 2) depend only on the observation and the
-//! [`ScfParams`] — not on a backend's threshold or guard zone. Each worker
+//! [`ScfParams`] — not on a backend's threshold or guard zone. Each lane
 //! therefore owns one reusable [`Observation`] and lets every backend
 //! decide through it: the spectra **and** the integrated DSCF are computed
 //! **once per trial** per distinct `ScfParams` and cached inside the
 //! observation, where every golden-model CFD replica — and every analytic
 //! full-precision SoC replica, which decides from the shared DSCF and
-//! books its closed-form cost — reuses them. The energy detector's statistic is time-domain power (it never
-//! ran an FFT), and a simulating (`Lockstep`/`Threaded`) or Q15 SoC
-//! replica computes its own on-tile spectra by design — those read the raw
-//! samples. The global `core.observation.spectra_computations` counter in
+//! books its closed-form cost — reuses them. The energy detector's
+//! statistic is time-domain power (it never ran an FFT), and a `Lockstep`
+//! or Q15 SoC replica computes its own on-tile spectra by design — those
+//! read the raw samples. The global `core.observation.spectra_computations` counter in
 //! [`cfd_telemetry::registry`] lets tests pin the once-per-trial contract.
 
 use crate::channel::mix_seed;
@@ -48,33 +52,31 @@ use crate::error::ScenarioError;
 use crate::scenario::{Hypothesis, RadioScenario};
 use cfd_core::backend::{BackendRecipe, Observation, SensingBackend};
 use cfd_dsp::detector::feature_statistic_from_profile;
+use cfd_dsp::lanes;
 use cfd_dsp::scf::{ScfEngine, ScfParams};
 use cfd_dsp::signal::awgn;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
 /// Cached handles to the sweep-engine instruments: whole-run and per-cell
-/// stage histograms, queue-wait time (how long a worker sat blocked on the
-/// cell queue), and throughput counters.
+/// stage histograms and throughput counters.
 struct SweepInstruments {
     run_ns: cfd_telemetry::Histogram,
-    queue_wait_ns: cfd_telemetry::Histogram,
     cell_ns: cfd_telemetry::Histogram,
     cells: cfd_telemetry::Counter,
     trials: cfd_telemetry::Counter,
-    workers: cfd_telemetry::Gauge,
 }
 
 fn sweep_instruments() -> &'static SweepInstruments {
     static INSTRUMENTS: OnceLock<SweepInstruments> = OnceLock::new();
     INSTRUMENTS.get_or_init(|| SweepInstruments {
         run_ns: cfd_telemetry::histogram("scenario.sweep.run_ns"),
-        queue_wait_ns: cfd_telemetry::histogram("scenario.sweep.queue_wait_ns"),
         cell_ns: cfd_telemetry::histogram("scenario.sweep.cell_ns"),
         cells: cfd_telemetry::counter("scenario.sweep.cells"),
         trials: cfd_telemetry::counter("scenario.sweep.trials"),
-        workers: cfd_telemetry::gauge("scenario.sweep.workers"),
     })
 }
 
@@ -274,9 +276,9 @@ pub const ROC_JSON_SCHEMA: u64 = 2;
 
 /// Builds and runs an SNR sweep over any roster of [`SensingBackend`]s.
 ///
-/// The scenario, the sweep, the backend roster and the worker count are
-/// named, and the roster is *open* — any type implementing
-/// [`BackendRecipe`] joins the parallel engine, so a detector defined
+/// The scenario, the sweep and the backend roster are named, and the
+/// roster is *open* — any type implementing [`BackendRecipe`] joins the
+/// engine, so a detector defined
 /// outside this workspace participates in ROC sweeps without touching any
 /// crate here. Calibrated `Clone + Sync` backends (e.g.
 /// [`EnergyDetector`](cfd_dsp::detector::EnergyDetector),
@@ -299,7 +301,6 @@ pub const ROC_JSON_SCHEMA: u64 = 2;
 ///     .sweep(SnrSweep::new(vec![-5.0, 5.0], 4)?)
 ///     .backend(EnergyDetector::new(1.0, 0.1, params.samples_needed())?)
 ///     .backend(CyclostationaryDetector::new(params, 0.35, 1)?)
-///     .workers(2)
 ///     .run()?;
 /// assert_eq!(table.detectors(), vec!["energy".to_string(), "cfd".into()]);
 /// # Ok(())
@@ -309,7 +310,6 @@ pub struct SweepBuilder<'a> {
     scenario: &'a RadioScenario,
     sweep: Option<SnrSweep>,
     recipes: Vec<Box<dyn BackendRecipe + 'a>>,
-    workers: Option<usize>,
 }
 
 impl fmt::Debug for SweepBuilder<'_> {
@@ -321,7 +321,6 @@ impl fmt::Debug for SweepBuilder<'_> {
                 "backends",
                 &self.recipes.iter().map(|r| r.label()).collect::<Vec<_>>(),
             )
-            .field("workers", &self.workers)
             .finish()
     }
 }
@@ -333,7 +332,6 @@ impl<'a> SweepBuilder<'a> {
             scenario,
             sweep: None,
             recipes: Vec::new(),
-            workers: None,
         }
     }
 
@@ -344,18 +342,10 @@ impl<'a> SweepBuilder<'a> {
     }
 
     /// Adds one backend to the roster (at least one is required). Every
-    /// worker thread builds its own replica from the recipe; row order in
-    /// the resulting [`RocTable`] follows insertion order.
+    /// lane builds its own replica from the recipe; row order in the
+    /// resulting [`RocTable`] follows insertion order.
     pub fn backend(mut self, recipe: impl BackendRecipe + 'a) -> Self {
         self.recipes.push(Box::new(recipe));
-        self
-    }
-
-    /// Explicit worker count. Defaults to the available parallelism; `1`
-    /// runs the in-thread serial reference. The table is bit-identical
-    /// for every worker count.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
         self
     }
 
@@ -366,11 +356,17 @@ impl<'a> SweepBuilder<'a> {
     /// licensed-user signal — so each backend's false-alarm count is
     /// measured once and shared by every SNR row).
     ///
+    /// The cells run on every idle lane of the process-wide budget, or in
+    /// order on the calling thread when it is itself a lane or a worker of
+    /// another pool ([`lanes::enter_pool_worker`]); the table is the same.
+    ///
     /// # Errors
     ///
     /// Returns [`ScenarioError::InvalidParameter`] when no sweep or no
     /// backends were given; propagates observation, replica-construction
-    /// and decision errors.
+    /// and decision errors. When several fail, a replica-construction error
+    /// wins, then the error of the lowest-ordered failing cell (the shared
+    /// H0 pass first, then the SNR points in order, trials ascending).
     pub fn run(&self) -> Result<RocTable, ScenarioError> {
         let sweep = self.sweep.as_ref().ok_or(ScenarioError::InvalidParameter {
             name: "sweep",
@@ -382,313 +378,154 @@ impl<'a> SweepBuilder<'a> {
                 message: "SweepBuilder needs at least one backend (SweepBuilder::backend)".into(),
             });
         }
-        let recipes: Vec<&dyn BackendRecipe> =
-            self.recipes.iter().map(|recipe| &**recipe).collect();
-        sweep_over_recipes(
-            self.scenario,
-            sweep,
-            &recipes,
-            self.workers.unwrap_or_else(default_workers),
-        )
+        let instruments = sweep_instruments();
+        let _run_span = instruments.run_ns.start_timer();
+        let points = sweep.snr_points_db.len();
+        // Several cells per lane, so lanes that draw slower cells still finish
+        // together, while each cell streams a batch through its replicas.
+        let chunk = sweep.trials.div_ceil(lanes::host_cores() * 4).max(1);
+        let mut cells = Vec::new();
+        for point in std::iter::once(None).chain((0..points).map(Some)) {
+            for first in (0..sweep.trials).step_by(chunk) {
+                let trials = first..sweep.trials.min(first + chunk);
+                cells.push(SweepCell { point, trials });
+            }
+        }
+        let scenarios_at: Vec<RadioScenario> = sweep
+            .snr_points_db
+            .iter()
+            .map(|&snr| self.scenario.at_snr(snr))
+            .collect();
+        // Each cell writes its positives, or its error, into its own slot;
+        // the slots are merged in cell order, so the lane count never shows.
+        type Slot<T> = Mutex<Option<Result<T, ScenarioError>>>;
+        let lane_replicas: Vec<Slot<LaneReplicas>> =
+            (0..lanes::host_cores()).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<Slot<Vec<usize>>> = cells.iter().map(|_| Mutex::new(None)).collect();
+        // The order of the lowest failure so far: 0 for a replica build,
+        // `index + 1` for cell `index`. Only cells ordered after it are
+        // skipped, so the lowest failing cell always runs. `Relaxed`: it
+        // publishes nothing, the slots carry the outcomes.
+        let lowest_failure = AtomicUsize::new(usize::MAX);
+        lanes::fan_out(cells.len(), |lane, index| {
+            if lowest_failure.load(Ordering::Relaxed) <= index {
+                return;
+            }
+            let mut own = lane_replicas[lane]
+                .lock()
+                .expect("a lane that panicked runs no further cell");
+            let Ok(replicas) = own.get_or_insert_with(|| LaneReplicas::build(&self.recipes)) else {
+                lowest_failure.fetch_min(0, Ordering::Relaxed);
+                return;
+            };
+            let cell = &cells[index];
+            let (source, hypothesis) = match cell.point {
+                None => (self.scenario, Hypothesis::Vacant),
+                Some(p) => (&scenarios_at[p], Hypothesis::Occupied),
+            };
+            let cell_span = instruments.cell_ns.start_timer();
+            let outcome = replicas.positives(source, hypothesis, cell.trials.clone());
+            drop(cell_span);
+            if outcome.is_err() {
+                lowest_failure.fetch_min(index + 1, Ordering::Relaxed);
+            }
+            instruments.cells.increment();
+            instruments.trials.add(cell.trials.len() as u64);
+            *slots[index].lock().expect("locked by its cell only") = Some(outcome);
+        });
+        for lane in lane_replicas {
+            if let Some(Err(error)) = lane.into_inner().expect("a lane's panic resumed above") {
+                return Err(error);
+            }
+        }
+        let mut false_alarms = vec![0usize; self.recipes.len()];
+        let mut detections = vec![vec![0usize; self.recipes.len()]; points];
+        // Every cell below the lowest failure ran, so the first error met in
+        // cell order is the lowest failing cell's; later cells may be empty.
+        for (cell, slot) in cells.iter().zip(slots) {
+            let Some(outcome) = slot.into_inner().expect("a cell's panic resumed above") else {
+                continue;
+            };
+            let counts = cell.point.map_or(&mut false_alarms, |p| &mut detections[p]);
+            for (count, positive) in counts.iter_mut().zip(outcome?) {
+                *count += positive;
+            }
+        }
+        let labels = recipe_labels(&self.recipes);
+        let rate = |count: usize| count as f64 / sweep.trials as f64;
+        let mut rows = Vec::with_capacity(points * labels.len());
+        for (&snr_db, detected) in sweep.snr_points_db.iter().zip(&detections) {
+            for (index, label) in labels.iter().enumerate() {
+                rows.push(RocRow {
+                    snr_db,
+                    detector: label.clone(),
+                    pd: rate(detected[index]),
+                    pfa: rate(false_alarms[index]),
+                    trials: sweep.trials,
+                });
+            }
+        }
+        Ok(RocTable { rows })
     }
-}
-
-/// The worker count used when none is requested explicitly.
-fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// One unit of sweep work: a chunk of consecutive trials under one
 /// hypothesis. `point: None` is the shared H0 (vacant-band) pass,
 /// `point: Some(i)` the H1 pass at `sweep.snr_points_db[i]`.
-#[derive(Debug, Clone, Copy)]
 struct SweepCell {
     point: Option<usize>,
-    first_trial: usize,
-    trials: usize,
+    trials: Range<usize>,
 }
 
-impl SweepCell {
-    /// Deterministic ordering key, used to pick a stable error when several
-    /// cells fail (category 1; category 0 is reserved for replica-build
-    /// failures, which the serial path would hit first).
-    fn order(&self) -> (usize, usize, usize) {
-        (1, self.point.map_or(0, |p| p + 1), self.first_trial)
+/// A lane's replica of each backend, in roster order, and its reusable
+/// [`Observation`]: built on the lane's first cell and kept for the sweep.
+struct LaneReplicas {
+    replicas: Vec<Box<dyn SensingBackend + Send>>,
+    observation: Observation,
+}
+
+impl LaneReplicas {
+    fn build(recipes: &[Box<dyn BackendRecipe + '_>]) -> Result<Self, ScenarioError> {
+        let replicas = recipes
+            .iter()
+            .map(|recipe| recipe.build().map_err(ScenarioError::from))
+            .collect::<Result<_, _>>()?;
+        Ok(LaneReplicas {
+            replicas,
+            observation: Observation::new(),
+        })
     }
-}
 
-/// What a worker sends back per cell (or on failure).
-enum WorkerMessage {
-    /// Positives per backend over the cell's trials.
-    Counts {
-        cell: SweepCell,
-        positives: Vec<usize>,
-    },
-    /// A replica-build or evaluation failure.
-    Failure {
-        order: (usize, usize, usize),
-        error: ScenarioError,
-    },
-}
-
-/// Builds one replica per recipe, in roster order.
-fn build_replicas(
-    recipes: &[&dyn BackendRecipe],
-) -> Result<Vec<Box<dyn SensingBackend + Send>>, ScenarioError> {
-    recipes
-        .iter()
-        .map(|recipe| recipe.build().map_err(ScenarioError::from))
-        .collect()
-}
-
-/// The sweep engine: every backend over every SNR point, either in-thread
-/// (`workers <= 1`, the serial reference) or over a work queue of
-/// `(snr_point, trial-chunk)` cells. Bit-identical for every worker count.
-fn sweep_over_recipes(
-    scenario: &RadioScenario,
-    sweep: &SnrSweep,
-    recipes: &[&dyn BackendRecipe],
-    workers: usize,
-) -> Result<RocTable, ScenarioError> {
-    if workers <= 1 {
-        return sweep_serial_over_recipes(scenario, sweep, recipes);
-    }
-    let labels = recipe_labels(recipes);
-    let points = sweep.snr_points_db.len();
-
-    // Chunk trials so each worker streams a meaningful batch through its
-    // replicas per queue pop, while keeping enough cells for load
-    // balancing.
-    let chunk = sweep.trials.div_ceil(workers * 4).max(1);
-    let scenarios_at: Vec<RadioScenario> = sweep
-        .snr_points_db
-        .iter()
-        .map(|&snr| scenario.at_snr(snr))
-        .collect();
-
-    let (cell_tx, cell_rx) = crossbeam::channel::unbounded::<SweepCell>();
-    let (out_tx, out_rx) = crossbeam::channel::unbounded::<WorkerMessage>();
-    for point in std::iter::once(None).chain((0..points).map(Some)) {
-        let mut first_trial = 0;
-        while first_trial < sweep.trials {
-            let trials = chunk.min(sweep.trials - first_trial);
-            cell_tx
-                .send(SweepCell {
-                    point,
-                    first_trial,
-                    trials,
-                })
-                .expect("receiver alive");
-            first_trial += trials;
-        }
-    }
-    drop(cell_tx);
-    // Replica construction is not free (a SoC replica is a whole simulated
-    // platform), so never spawn more workers than there are cells to
-    // process.
-    let total_cells = (points + 1) * sweep.trials.div_ceil(chunk);
-    let workers = workers.min(total_cells);
-    let instruments = sweep_instruments();
-    instruments.workers.set(workers as f64);
-    let _run_span = instruments.run_ns.start_timer();
-
-    let mut false_alarms = vec![0usize; recipes.len()];
-    let mut detections = vec![vec![0usize; recipes.len()]; points];
-    let mut failure: Option<((usize, usize, usize), ScenarioError)> = None;
-    let failed = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let cell_rx = cell_rx.clone();
-            let out_tx = out_tx.clone();
-            let scenarios_at = &scenarios_at;
-            let failed = &failed;
-            scope.spawn(move || {
-                // The workers already occupy the host's cores: their own
-                // DSCF folds and fusion fan-outs stay on them.
-                cfd_dsp::lanes::enter_pool_worker();
-                let mut replicas = match build_replicas(recipes) {
-                    Ok(replicas) => replicas,
-                    Err(error) => {
-                        failed.store(true, std::sync::atomic::Ordering::Relaxed);
-                        let _ = out_tx.send(WorkerMessage::Failure {
-                            order: (0, 0, 0),
-                            error,
-                        });
-                        return;
-                    }
-                };
-                let mut observation = Observation::new();
-                loop {
-                    let queue_wait = instruments.queue_wait_ns.start_timer();
-                    let Ok(cell) = cell_rx.recv() else { break };
-                    drop(queue_wait);
-                    // The sweep already failed: drain the queue without
-                    // paying for cells whose counts would be discarded.
-                    if failed.load(std::sync::atomic::Ordering::Relaxed) {
-                        continue;
-                    }
-                    let cell_span = instruments.cell_ns.start_timer();
-                    let message = match evaluate_cell(
-                        scenario,
-                        scenarios_at,
-                        &mut replicas,
-                        &mut observation,
-                        cell,
-                    ) {
-                        Ok(positives) => WorkerMessage::Counts { cell, positives },
-                        Err(error) => {
-                            failed.store(true, std::sync::atomic::Ordering::Relaxed);
-                            WorkerMessage::Failure {
-                                order: cell.order(),
-                                error,
-                            }
-                        }
-                    };
-                    drop(cell_span);
-                    instruments.cells.increment();
-                    instruments.trials.add(cell.trials as u64);
-                    if out_tx.send(message).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(out_tx);
-        // Merge as results arrive. Counts are integers and addition is
-        // commutative, so the merged table does not depend on arrival
-        // order. Among the failures observed before the early abort, the
-        // one with the smallest cell order is reported (the successful
-        // table is always deterministic; the identity of the reported
-        // error may vary when several cells fail close together).
-        while let Ok(message) = out_rx.recv() {
-            match message {
-                WorkerMessage::Counts { cell, positives } => {
-                    let target = match cell.point {
-                        None => &mut false_alarms,
-                        Some(p) => &mut detections[p],
-                    };
-                    for (count, positive) in target.iter_mut().zip(positives) {
-                        *count += positive;
-                    }
-                }
-                WorkerMessage::Failure { order, error } => {
-                    if failure.as_ref().is_none_or(|(held, _)| order < *held) {
-                        failure = Some((order, error));
-                    }
+    /// The positive decisions per backend over `trials` of `source`: each
+    /// observation is loaded into the lane's [`Observation`] and every
+    /// backend decides through it — so the block spectra (and the DSCF)
+    /// are computed once per observation, not once per replica, into
+    /// buffers reused across the whole sweep.
+    fn positives(
+        &mut self,
+        source: &RadioScenario,
+        hypothesis: Hypothesis,
+        trials: Range<usize>,
+    ) -> Result<Vec<usize>, ScenarioError> {
+        let mut positives = vec![0usize; self.replicas.len()];
+        for trial in trials {
+            let trial_observation = source.observe(hypothesis, trial)?;
+            self.observation.set_samples(trial_observation.samples);
+            for (count, backend) in positives.iter_mut().zip(&mut self.replicas) {
+                if backend.decide(&mut self.observation)?.is_signal() {
+                    *count += 1;
                 }
             }
         }
-    });
-    if let Some((_, error)) = failure {
-        return Err(error);
+        Ok(positives)
     }
-    Ok(assemble_table(sweep, &labels, &false_alarms, &detections))
-}
-
-/// The single-threaded reference implementation of the sweep: produces the
-/// same table as the parallel engine, bit for bit.
-fn sweep_serial_over_recipes(
-    scenario: &RadioScenario,
-    sweep: &SnrSweep,
-    recipes: &[&dyn BackendRecipe],
-) -> Result<RocTable, ScenarioError> {
-    let labels = recipe_labels(recipes);
-    let instruments = sweep_instruments();
-    instruments.workers.set(1.0);
-    let _run_span = instruments.run_ns.start_timer();
-    let mut replicas = build_replicas(recipes)?;
-    let mut observation = Observation::new();
-    let mut false_alarms = vec![0usize; recipes.len()];
-    for trial in 0..sweep.trials {
-        let h0 = scenario.observe(Hypothesis::Vacant, trial)?;
-        observation.set_samples(h0.samples);
-        for (index, backend) in replicas.iter_mut().enumerate() {
-            if backend.decide(&mut observation)?.is_signal() {
-                false_alarms[index] += 1;
-            }
-        }
-    }
-    let mut detections = vec![vec![0usize; recipes.len()]; sweep.snr_points_db.len()];
-    for (point, &snr_db) in sweep.snr_points_db.iter().enumerate() {
-        let at_snr = scenario.at_snr(snr_db);
-        for trial in 0..sweep.trials {
-            let h1 = at_snr.observe(Hypothesis::Occupied, trial)?;
-            observation.set_samples(h1.samples);
-            for (index, backend) in replicas.iter_mut().enumerate() {
-                if backend.decide(&mut observation)?.is_signal() {
-                    detections[point][index] += 1;
-                }
-            }
-        }
-    }
-    // One logical trial per (hypothesis point, trial index), matching what
-    // the parallel path counts per cell: worker count must not change the
-    // throughput counters.
-    instruments
-        .trials
-        .add((sweep.trials * (sweep.snr_points_db.len() + 1)) as u64);
-    Ok(assemble_table(sweep, &labels, &false_alarms, &detections))
-}
-
-/// Evaluates one work cell on a worker's replicas: generates each of the
-/// cell's observations in turn, loads it into the worker's reusable
-/// [`Observation`], and lets every backend decide — so the block spectra
-/// (and the DSCF) are computed once per observation, not once per replica,
-/// into buffers reused across the whole cell (and across cells: the
-/// observation belongs to the worker). Returns the positive-decision count
-/// per backend.
-fn evaluate_cell(
-    scenario: &RadioScenario,
-    scenarios_at: &[RadioScenario],
-    replicas: &mut [Box<dyn SensingBackend + Send>],
-    observation: &mut Observation,
-    cell: SweepCell,
-) -> Result<Vec<usize>, ScenarioError> {
-    let (source, hypothesis) = match cell.point {
-        None => (scenario, Hypothesis::Vacant),
-        Some(p) => (&scenarios_at[p], Hypothesis::Occupied),
-    };
-    let mut positives = vec![0usize; replicas.len()];
-    for trial in cell.first_trial..cell.first_trial + cell.trials {
-        let trial_observation = source.observe(hypothesis, trial)?;
-        observation.set_samples(trial_observation.samples);
-        for (index, backend) in replicas.iter_mut().enumerate() {
-            if backend.decide(observation)?.is_signal() {
-                positives[index] += 1;
-            }
-        }
-    }
-    Ok(positives)
-}
-
-/// Builds the final table from merged counts, in deterministic
-/// `(snr point, detector)` order.
-fn assemble_table(
-    sweep: &SnrSweep,
-    labels: &[String],
-    false_alarms: &[usize],
-    detections: &[Vec<usize>],
-) -> RocTable {
-    let mut rows = Vec::with_capacity(sweep.snr_points_db.len() * labels.len());
-    for (point, &snr_db) in sweep.snr_points_db.iter().enumerate() {
-        for (index, label) in labels.iter().enumerate() {
-            rows.push(RocRow {
-                snr_db,
-                detector: label.clone(),
-                pd: detections[point][index] as f64 / sweep.trials as f64,
-                pfa: false_alarms[index] as f64 / sweep.trials as f64,
-                trials: sweep.trials,
-            });
-        }
-    }
-    RocTable { rows }
 }
 
 /// Row labels for a backend roster: the plain [`BackendRecipe::label`]
 /// when unique, `label#index` when several backends of the same kind run
 /// in one sweep — otherwise [`RocTable::row`] and [`RocTable::pd_series`]
 /// would silently merge their rows.
-fn recipe_labels(recipes: &[&dyn BackendRecipe]) -> Vec<String> {
+fn recipe_labels(recipes: &[Box<dyn BackendRecipe + '_>]) -> Vec<String> {
     let mut counts: HashMap<String, usize> = HashMap::new();
     for recipe in recipes {
         *counts.entry(recipe.label()).or_insert(0) += 1;
@@ -781,6 +618,7 @@ mod tests {
     use super::*;
     use cfd_core::app::{CfdApplication, Platform};
     use cfd_core::backend::{Decision, SessionRecipe};
+    use cfd_core::error::CfdError;
     use cfd_dsp::detector::{CyclostationaryDetector, EnergyDetector};
 
     fn small_scenario() -> RadioScenario {
@@ -794,6 +632,16 @@ mod tests {
 
     fn cfd(threshold: f64) -> CyclostationaryDetector {
         CyclostationaryDetector::new(ScfParams::new(32, 7, 32).unwrap(), threshold, 1).unwrap()
+    }
+
+    /// Runs `f` on a fresh thread marked as a worker of another pool, where
+    /// a sweep's fan-out runs its cells in order on one lane.
+    fn on_one_lane<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        let one_lane = || {
+            lanes::enter_pool_worker();
+            f()
+        };
+        std::thread::scope(|scope| scope.spawn(one_lane).join().unwrap())
     }
 
     fn soc_recipe(threshold: f64) -> SessionRecipe {
@@ -851,20 +699,39 @@ mod tests {
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial() {
         let scenario = small_scenario();
-        let len = scenario.observation_len;
         let sweep = SnrSweep::new(vec![-10.0, 0.0, 10.0], 9).unwrap();
-        let build = |workers: usize| {
+        let energy = EnergyDetector::new(1.0, 0.1, scenario.observation_len).unwrap();
+        let run = || {
             SweepBuilder::new(&scenario)
                 .sweep(sweep.clone())
-                .backend(EnergyDetector::new(1.0, 0.1, len).unwrap())
+                .backend(energy.clone())
                 .backend(cfd(0.35))
-                .workers(workers)
                 .run()
                 .unwrap()
         };
-        let serial = build(1);
-        for workers in [2usize, 3, 7] {
-            assert_eq!(serial, build(workers), "workers = {workers}");
+        let every_lane = run();
+        assert_eq!(on_one_lane(run), every_lane);
+        // The independent reference: one backend pair deciding trial after
+        // trial on fresh observations.
+        let mut backends: [Box<dyn SensingBackend>; 2] = [Box::new(energy), Box::new(cfd(0.35))];
+        let mut positives = |source: &RadioScenario, hypothesis| {
+            let mut counts = [0usize; 2];
+            for trial in 0..sweep.trials {
+                let samples = source.observe(hypothesis, trial).unwrap().samples;
+                let mut observation = Observation::from_samples(samples);
+                for (count, backend) in counts.iter_mut().zip(&mut backends) {
+                    *count += usize::from(backend.decide(&mut observation).unwrap().is_signal());
+                }
+            }
+            counts.map(|count| count as f64 / sweep.trials as f64)
+        };
+        let pfa = positives(&scenario, Hypothesis::Vacant);
+        for &snr in &sweep.snr_points_db {
+            let pd = positives(&scenario.at_snr(snr), Hypothesis::Occupied);
+            for (index, label) in ["energy", "cfd"].into_iter().enumerate() {
+                let (row, want) = (every_lane.row(label, snr).unwrap(), [pd[index], pfa[index]]);
+                assert_eq!([row.pd, row.pfa], want, "{label} at {snr} dB");
+            }
         }
     }
 
@@ -1082,7 +949,6 @@ mod tests {
             .sweep(SnrSweep::new(vec![0.0], 4).unwrap())
             .backend(cfd(0.35))
             .backend(custom)
-            .workers(2)
             .run()
             .unwrap();
         assert_eq!(
@@ -1090,5 +956,59 @@ mod tests {
             vec!["cfd".to_string(), "mean-feature".into()]
         );
         assert!(table.row("mean-feature", 0.0).is_some());
+    }
+
+    /// A third-party backend that fails on the trials whose first sample it
+    /// holds, naming the trial, and reads "vacant" on every other one.
+    #[derive(Debug, Clone)]
+    struct FailsOnTrials(Vec<(usize, cfd_dsp::Cplx)>);
+
+    impl SensingBackend for FailsOnTrials {
+        fn label(&self) -> String {
+            "fails-on-trials".into()
+        }
+
+        fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
+            let first = observation.samples()[0];
+            match self.0.iter().find(|(_, sample)| *sample == first) {
+                Some((trial, _)) => Err(CfdError::InvalidParameter {
+                    name: "trial",
+                    message: format!("trial {trial} fails"),
+                }),
+                None => Ok(Decision::new(0.0, 1.0)),
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_errors_are_deterministic() {
+        let scenario = small_scenario();
+        let first_sample = |trial| scenario.observe(Hypothesis::Vacant, trial).unwrap().samples[0];
+        // Eight trials make cells of at most two trials on any host, so
+        // the H0 trials 3 and 4 always fall into different cells.
+        let failing = FailsOnTrials(vec![(4, first_sample(4)), (3, first_sample(3))]);
+        let sweep =
+            || SweepBuilder::new(&scenario).sweep(SnrSweep::new(vec![0.0, 5.0], 8).unwrap());
+        // The analytic platform refuses a Q15 datapath when a replica opens.
+        let mut q15 = Platform::paper();
+        q15.tile = q15.tile.with_q15();
+        let unbuildable =
+            SessionRecipe::new(CfdApplication::new(32, 7, 32).unwrap(), &q15, 0.35, 1);
+        for repeat in 0..20 {
+            let error = sweep().backend(failing.clone()).run().unwrap_err();
+            assert!(
+                error.to_string().contains("trial 3 fails"),
+                "{repeat}: {error}"
+            );
+            // A replica-build error wins over every cell's.
+            let roster = sweep()
+                .backend(failing.clone())
+                .backend(unbuildable.clone());
+            let error = roster.run().unwrap_err().to_string();
+            assert!(
+                error.contains("full-precision datapath"),
+                "{repeat}: {error}"
+            );
+        }
     }
 }

@@ -15,17 +15,17 @@
 //!   interferer;
 //! * [`scenario`] — named presets, the deterministic Monte-Carlo trial
 //!   runner, and SNR retargeting with common random numbers;
-//! * [`eval`] — the parallel batched sweep engine producing Pd/Pfa ROC
+//! * [`eval`] — the batched sweep engine producing Pd/Pfa ROC
 //!   tables over **any** roster of `cfd_core::backend::SensingBackend`s —
 //!   the energy detector, the golden-model cyclostationary detector, the
 //!   full tiled-SoC sensing path of `cfd-core`, or a detector defined
 //!   outside this workspace: sweeps are described and launched by
 //!   [`SweepBuilder`], backends are described by
-//!   `cfd_core::backend::BackendRecipe`s, every worker thread builds its
-//!   own replicas (the SoC path opens one `SensingSession` per worker),
-//!   and `(snr_point, trial)` cells are distributed over a crossbeam work
-//!   queue — bit-identical for every worker count thanks to common random
-//!   numbers;
+//!   `cfd_core::backend::BackendRecipe`s, and the `(snr_point,
+//!   trial-chunk)` cells are the tasks of one `cfd_dsp::lanes` fan-out:
+//!   every lane builds its own replicas (the SoC path opens one
+//!   `SensingSession` per lane) — bit-identical at every lane count thanks
+//!   to common random numbers and per-cell counts merged in cell order;
 //! * [`cooperative`] — cooperative sensing against a *live* primary user:
 //!   [`CooperativeSweep`] drives any backend (including a whole
 //!   `cfd_core::fusion::FusionCenter` fleet) along a Markov on/off

@@ -11,15 +11,12 @@ pub enum ExecutionMode {
     /// (deterministic; the cycle-accurate golden reference).
     #[default]
     Lockstep,
-    /// Each tile runs on its own thread; inter-tile streams are crossbeam
-    /// channels. Produces identical results to lockstep mode.
-    Threaded,
     /// No per-cycle simulation: the DSCF comes from the eq.-3
     /// [`cfd_dsp::scf::ScfEngine`] and the cycle, transfer and source
     /// counters from the closed-form model derived from the task sets at
     /// configure time. For the full-precision datapath it produces the same
-    /// `SocRun` — equal DSCF values, equal counters — as the two
-    /// simulating modes (pinned by `tests/soc_fast_path.rs`); the default
+    /// `SocRun` — equal DSCF values, equal counters — as the lockstep
+    /// simulation (pinned by `tests/soc_fast_path.rs`); the default
     /// for Monte-Carlo sweeps. A Q15 platform is refused at construction:
     /// the 16-bit accumulator quantisation exists only in the cycle-accurate
     /// simulation.
@@ -101,10 +98,10 @@ mod tests {
     fn builder_modifiers() {
         let config = SocConfig::paper()
             .with_tiles(8)
-            .with_mode(ExecutionMode::Threaded)
+            .with_mode(ExecutionMode::Analytic)
             .with_tile_config(MontiumConfig::paper().with_clock_mhz(50.0));
         assert_eq!(config.num_tiles, 8);
-        assert_eq!(config.mode, ExecutionMode::Threaded);
+        assert_eq!(config.mode, ExecutionMode::Analytic);
         assert!((config.total_power_mw() - 8.0 * 25.0).abs() < 1e-9);
         assert!((config.total_area_mm2() - 16.0).abs() < 1e-12);
     }

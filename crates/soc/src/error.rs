@@ -26,8 +26,8 @@ pub enum SocError {
         /// Description of the problem.
         message: String,
     },
-    /// A worker thread of the threaded execution mode panicked or
-    /// disconnected.
+    /// A run would mix the analytic and the simulated execution path in
+    /// one accumulation.
     ExecutionFailure {
         /// Description of the failure.
         message: String,

@@ -7,19 +7,17 @@
 //! between tiles once per frequency step (a rate `T` times lower than the
 //! multiply–accumulate rate, as the paper argues).
 //!
-//! Three execution modes produce the same [`SocRun`]:
+//! Two execution modes produce the same [`SocRun`]:
 //!
 //! * **lockstep** — all tiles advance one frequency step at a time in a
 //!   single thread (deterministic; the cycle-accurate golden reference);
-//! * **threaded** — one thread per tile, inter-tile streams carried by
-//!   crossbeam channels;
 //! * **analytic** — the model of what the hardware computes, without
 //!   stepping it. The platform evaluates exactly eq. 3, so the DSCF comes
 //!   from the `cfd-dsp` [`ScfEngine`], and every counter comes from the
 //!   closed-form cost model:
 //!   [`montium_sim::kernels::analytic_step_cycles`] per tile and block,
 //!   `2·(Q−1)·(F−1)` inter-tile transfers and `2·(F−1)` source inputs per
-//!   block. DSCF values and counters equal the simulating modes' (pinned
+//!   block. DSCF values and counters equal the lockstep mode's (pinned
 //!   by `tests/soc_fast_path.rs`); the only bit-level difference is the
 //!   sign of an exactly-zero imaginary part in the engine's mirrored
 //!   `a < 0` half.
@@ -32,7 +30,7 @@
 
 use crate::config::{ExecutionMode, SocConfig};
 use crate::error::SocError;
-use crate::link::{ChannelLink, QueueLink, StreamWord};
+use crate::link::{QueueLink, StreamWord};
 use crate::power::PlatformMetrics;
 use crate::tile::{Tile, TileCycleBreakdown};
 use cfd_dsp::complex::Cplx;
@@ -51,7 +49,6 @@ struct SocInstruments {
     run_ns: cfd_telemetry::Histogram,
     correlate_ns: cfd_telemetry::Histogram,
     runs_lockstep: cfd_telemetry::Counter,
-    runs_threaded: cfd_telemetry::Counter,
     runs_analytic: cfd_telemetry::Counter,
     runs_spectra_fed: cfd_telemetry::Counter,
     critical_cycles: cfd_telemetry::Gauge,
@@ -64,7 +61,6 @@ fn instruments() -> &'static SocInstruments {
         run_ns: cfd_telemetry::histogram("soc.run_ns"),
         correlate_ns: cfd_telemetry::histogram("soc.correlate_ns"),
         runs_lockstep: cfd_telemetry::counter("soc.runs.lockstep"),
-        runs_threaded: cfd_telemetry::counter("soc.runs.threaded"),
         runs_analytic: cfd_telemetry::counter("soc.runs.analytic"),
         runs_spectra_fed: cfd_telemetry::counter("soc.runs.spectra_fed"),
         critical_cycles: cfd_telemetry::gauge("soc.run.critical_cycles"),
@@ -155,7 +151,7 @@ impl TiledSoc {
             // different numbers than the hardware model. Refuse up front.
             return Err(SocError::InvalidConfiguration {
                 message: "the analytic execution mode models the full-precision datapath; \
-                          use Lockstep or Threaded for a Q15 platform"
+                          use Lockstep for a Q15 platform"
                     .into(),
             });
         }
@@ -238,7 +234,7 @@ impl TiledSoc {
     ///
     /// In [`ExecutionMode::Analytic`] the block spectra and the DSCF come
     /// from the [`ScfEngine`] and the counters from the closed-form cost
-    /// model; the result is the same `SocRun` the simulating modes produce.
+    /// model; the result is the same `SocRun` the lockstep mode produces.
     ///
     /// # Errors
     ///
@@ -285,7 +281,6 @@ impl TiledSoc {
         let _span = instruments.run_ns.start_timer();
         match self.config.mode {
             ExecutionMode::Lockstep => instruments.runs_lockstep.increment(),
-            ExecutionMode::Threaded => instruments.runs_threaded.increment(),
             ExecutionMode::Analytic => instruments.runs_analytic.increment(),
         }
         let k = self.fft_len;
@@ -298,10 +293,7 @@ impl TiledSoc {
         } else {
             self.tiles_dirty = true;
             for block in signal.chunks_exact(k).take(num_blocks) {
-                match self.config.mode {
-                    ExecutionMode::Threaded => self.run_block_threaded(block)?,
-                    _ => self.run_block_lockstep(block)?,
-                }
+                self.run_block_lockstep(block)?;
             }
         }
         self.fill_run(num_blocks, out)?;
@@ -564,86 +556,6 @@ impl TiledSoc {
         Ok(())
     }
 
-    fn run_block_threaded(&mut self, samples: &[Cplx]) -> Result<(), SocError> {
-        let q_count = self.tiles.len();
-        let f_count = 2 * self.max_offset + 1;
-        // conj_links[q]: tile q -> tile q+1; direct_links[q]: tile q+1 -> tile q.
-        let boundaries = q_count - 1;
-        let conj_links: Vec<ChannelLink> = (0..boundaries).map(|_| ChannelLink::new()).collect();
-        let direct_links: Vec<ChannelLink> = (0..boundaries).map(|_| ChannelLink::new()).collect();
-
-        let results: Vec<Result<(), SocError>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(q_count);
-            for (q, tile) in self.tiles.iter_mut().enumerate() {
-                let conj_in = (q > 0).then(|| conj_links[q - 1].clone());
-                let conj_out = (q + 1 < q_count).then(|| conj_links[q].clone());
-                let direct_in = (q + 1 < q_count).then(|| direct_links[q].clone());
-                let direct_out = (q > 0).then(|| direct_links[q - 1].clone());
-                handles.push(scope.spawn(move || -> Result<(), SocError> {
-                    tile.begin_block(samples)?;
-                    for step in 0..f_count {
-                        tile.mac_step(step)?;
-                        if step + 1 == f_count {
-                            break;
-                        }
-                        let (conj_edge, direct_edge) = tile.edge_outputs()?;
-                        if let Some(link) = &conj_out {
-                            link.send(StreamWord {
-                                value: conj_edge,
-                                conjugate_flow: true,
-                            });
-                        }
-                        if let Some(link) = &direct_out {
-                            link.send(StreamWord {
-                                value: direct_edge,
-                                conjugate_flow: false,
-                            });
-                        }
-                        let incoming_conj = match &conj_in {
-                            Some(link) => {
-                                link.receive()
-                                    .map_err(|message| SocError::ExecutionFailure { message })?
-                                    .value
-                            }
-                            None => tile.source_conjugate(step + 1),
-                        };
-                        let incoming_direct = match &direct_in {
-                            Some(link) => {
-                                link.receive()
-                                    .map_err(|message| SocError::ExecutionFailure { message })?
-                                    .value
-                            }
-                            None => tile.source_direct(step + 1),
-                        };
-                        tile.shift_in(incoming_conj, incoming_direct)?;
-                    }
-                    tile.finish_block()?;
-                    Ok(())
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(SocError::ExecutionFailure {
-                            message: "tile worker panicked".into(),
-                        })
-                    })
-                })
-                .collect()
-        });
-        for r in results {
-            r?;
-        }
-        for link in conj_links.iter().chain(direct_links.iter()) {
-            self.inter_tile_transfers += link.transfers();
-        }
-        // Source inputs: one per boundary end per shift.
-        self.source_inputs += 2 * (f_count as u64 - 1);
-        self.blocks_simulated += 1;
-        Ok(())
-    }
-
     /// Gathers the simulated DSCF into `matrix` (resized only if its grid
     /// differs), reading each tile's slice through its reusable flat gather
     /// buffer — no per-task or per-row allocation. The matrix is cleared
@@ -729,21 +641,6 @@ mod tests {
         assert_eq!(run.blocks, 3);
         assert_eq!(run.per_tile_cycles.len(), 4);
         assert!(run.inter_tile_transfers > 0);
-    }
-
-    #[test]
-    fn threaded_run_matches_lockstep_exactly() {
-        let (signal, _) = test_signal(2);
-        let mut lockstep = small_soc(ExecutionMode::Lockstep, 4);
-        let mut threaded = small_soc(ExecutionMode::Threaded, 4);
-        let run_a = lockstep.run(&signal, 2).unwrap();
-        let run_b = threaded.run(&signal, 2).unwrap();
-        assert!(run_a.scf.max_abs_difference(&run_b.scf) < 1e-12);
-        assert_eq!(run_a.inter_tile_transfers, run_b.inter_tile_transfers);
-        assert_eq!(
-            run_a.per_tile_cycles[0].total(),
-            run_b.per_tile_cycles[0].total()
-        );
     }
 
     #[test]
@@ -850,7 +747,7 @@ mod tests {
             TiledSoc::new(analytic, 7, 32),
             Err(SocError::InvalidConfiguration { .. })
         ));
-        // The simulating modes keep accepting Q15.
+        // The lockstep mode keeps accepting Q15.
         let lockstep = SocConfig::paper().with_tile_config(q15);
         assert!(TiledSoc::new(lockstep, 7, 32).is_ok());
     }

@@ -605,7 +605,7 @@ impl MetricsSnapshot {
     /// ```json
     /// {"schema":1,
     ///  "counters":{"core.observation.spectra_computations":42},
-    ///  "gauges":{"scenario.sweep.workers":4},
+    ///  "gauges":{"service.workers":4},
     ///  "histograms":{"dsp.fft.forward_ns":
     ///     {"count":8,"sum":9000,"p50":2047,"p90":2047,"p99":2047,
     ///      "buckets":[[10,8]]}}}

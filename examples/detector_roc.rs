@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Calibrate both detectors for the nominal (unit) noise floor. The
     // calibrated detectors are passed to the sweep directly: every
     // `Clone + Sync` `SensingBackend` is its own `BackendRecipe`, and each
-    // worker thread of the sweep engine builds its own replica from it.
+    // lane of the sweep engine builds its own replica from it.
     let cfd_threshold = cfd_telemetry::time("roc.calibration_ns", || {
         calibrate_cfd_threshold(&params, 1, TARGET_PFA, 200, SEED)
     })?;

@@ -44,9 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          {TRIALS} trials/point, seed {SEED}\n"
     );
 
-    // The sweep engine builds one sensing session per worker thread from
-    // the `SessionRecipe`: the SoC is configured once per session and
-    // every observation of that worker then streams through it. The
+    // The sweep engine builds one sensing session per lane from the
+    // `SessionRecipe`: the SoC is configured once per session and every
+    // observation of that lane then streams through it. The
     // energy baseline is a `Clone + Sync` backend and is its own recipe.
     for preset in RadioScenario::preset_names() {
         let scenario = RadioScenario::preset(preset, samples_per_decision)

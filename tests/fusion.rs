@@ -7,13 +7,15 @@
 //!   configured solo detectors over the same observation;
 //! * **fused sweeps are deterministic** — a `FusionCenter` with
 //!   per-sensor impairment overlays produces a `RocTable` that is
-//!   bit-identical for every worker count (the content-fingerprint
+//!   bit-identical on one lane and on every lane (the content-fingerprint
 //!   seeding makes realisations independent of trial scheduling);
 //! * **soft combining is deterministic** — impaired soft-combining fleets
 //!   reproduce their decisions bit-for-bit across replicas;
 //! * **a fleet is a backend** — the same `FusionCenter` value drops
 //!   unchanged into a `SweepBuilder` sweep *and* a `SensingScheduler`
 //!   channel, next to (and decision-identical to) serial driving.
+
+mod common;
 
 use cfd_core::backend::{Decision, Observation, SensingBackend};
 use cfd_core::fusion::{FusionCenter, FusionRule, MemberChannel};
@@ -131,14 +133,11 @@ proptest! {
         }
     }
 
-    /// A fused fleet inside the parallel sweep engine: per-sensor
-    /// shadowing realisations are derived from observation content, so
-    /// the `RocTable` is bit-identical for every worker count.
+    /// A fused fleet inside the sweep engine: per-sensor shadowing
+    /// realisations are derived from observation content, so the
+    /// `RocTable` is bit-identical on one lane and on every lane.
     #[test]
-    fn fused_sweep_is_identical_across_worker_counts(
-        seed in 0u64..1000,
-        workers in 2usize..5,
-    ) {
+    fn fused_sweep_is_identical_across_worker_counts(seed in 0u64..1000) {
         let scenario = RadioScenario::preset("bpsk-awgn", params().samples_needed())
             .expect("built-in preset")
             .with_seed(seed);
@@ -146,15 +145,14 @@ proptest! {
             .with_impaired_member(cfd(0.35), shadowing(6.0))
             .with_impaired_member(cfd(0.35), shadowing(6.0))
             .with_impaired_member(cfd(0.35), shadowing(6.0));
-        let run = |workers: usize| {
+        let run = || {
             SweepBuilder::new(&scenario)
                 .sweep(SnrSweep::new(vec![0.0, 8.0], 6).unwrap())
                 .backend(fleet.clone())
-                .workers(workers)
                 .run()
                 .unwrap()
         };
-        prop_assert_eq!(&run(1), &run(workers), "diverged with {} workers", workers);
+        prop_assert_eq!(&common::on_one_lane(run), &run(), "one lane and every lane diverged");
     }
 }
 
@@ -215,7 +213,6 @@ fn fusion_center_runs_in_sweeps_and_scheduler_channels() {
         .sweep(SnrSweep::new(vec![10.0], 12).unwrap())
         .backend(cfd(0.35))
         .backend(fleet.clone())
-        .workers(3)
         .run()
         .unwrap();
     let fused_row = table
@@ -293,7 +290,7 @@ fn fusion_center_runs_in_sweeps_and_scheduler_channels() {
 /// Pfa 0.1/4 so the fleet's false-alarm rate stays at or below the solo
 /// budget — recovers ≥ 0.9 Pd. Every number here is deterministic: the
 /// calibration, the trials and the per-sensor realisations are all
-/// seeded, and fused sweeps are worker-count invariant.
+/// seeded, and fused sweeps are lane-count invariant.
 #[test]
 fn or_fusion_recovers_the_shadowing_margin() {
     let params = ScfParams::new(32, 7, 128).unwrap();
@@ -321,7 +318,6 @@ fn or_fusion_recovers_the_shadowing_margin() {
         .sweep(SnrSweep::new(vec![snr_db], 400).unwrap())
         .backend(single)
         .backend(fleet)
-        .workers(4)
         .run()
         .unwrap();
     let single_row = &table.rows[0];

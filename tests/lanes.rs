@@ -9,11 +9,14 @@
 //!   runs that fan-out serially, and nothing deadlocks;
 //! * **panics wait for every lane** — a task's panic resumes on the caller
 //!   only after every lane has finished, and the helper stays usable;
-//! * **other pools keep their cores** — a 2-worker scenario sweep at
-//!   511×511 runs no task on a helper.
+//! * **a sweep is one fan-out** — a scenario sweep at 511×511 adds at most
+//!   one fan-out, its own: the DSCF folds nested in its cells stay on their
+//!   lanes and run no helper task.
 //!
 //! The lane counters and helpers are process-global, so the tests in this
 //! file run one at a time.
+
+mod common;
 
 use cfd_dsp::detector::CyclostationaryDetector;
 use cfd_dsp::lanes::{self, host_cores};
@@ -31,10 +34,6 @@ fn serialised() -> MutexGuard<'static, ()> {
 
 fn fan_outs() -> u64 {
     cfd_telemetry::counter("dsp.lanes.fan_outs").value()
-}
-
-fn helper_tasks() -> u64 {
-    cfd_telemetry::counter("dsp.lanes.helper_tasks").value()
 }
 
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -73,15 +72,7 @@ fn one_lane_and_every_lane_give_the_same_bits() {
         let (profile, matrix) = both_sinks(&engine, &spectra);
         let fanned = fan_outs() - before;
         // One lane: a worker of another pool folds on its own thread.
-        let (solo_profile, solo_matrix) = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    lanes::enter_pool_worker();
-                    both_sinks(&engine, &spectra)
-                })
-                .join()
-                .unwrap()
-        });
+        let (solo_profile, solo_matrix) = common::on_one_lane(|| both_sinks(&engine, &spectra));
         let grid = params.grid_size();
         assert_eq!(bits(&profile), bits(&solo_profile), "{grid}x{grid} profile");
         assert_eq!(
@@ -172,23 +163,26 @@ fn a_panicking_task_resumes_after_every_lane_finished() {
 }
 
 #[test]
-fn a_two_worker_sweep_at_511_runs_no_helper_tasks() {
+fn a_dscf_fold_nested_in_a_sweep_cell_runs_no_helper_task() {
     let _serial = serialised();
     let params = ScfParams::new(1024, 255, 8).unwrap();
     let scenario = RadioScenario::preset("bpsk-awgn", params.samples_needed()).unwrap();
-    let sweep = |workers| {
+    let sweep = || {
         SweepBuilder::new(&scenario)
             .sweep(SnrSweep::new(vec![0.0], 4).unwrap())
             .backend(CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap())
-            .workers(workers)
             .run()
             .unwrap()
     };
-    let (fan_outs_before, tasks_before) = (fan_outs(), helper_tasks());
-    let table = sweep(2);
-    assert_eq!(helper_tasks(), tasks_before);
-    assert_eq!(fan_outs(), fan_outs_before);
-    // The serial reference runs on this thread, which may use the lanes,
-    // and still gives the same table.
-    assert_eq!(sweep(1), table);
+    // Every fold of the 511×511 DSCF runs inside a sweep cell, so the only
+    // fan-out that can obtain a helper (and run tasks on it) is the
+    // sweep's own.
+    let before = fan_outs();
+    let table = sweep();
+    assert!(fan_outs() - before <= 1, "{} fan-outs", fan_outs() - before);
+    // On one lane the cells run in order on the caller, obtain no helper,
+    // and give the same table.
+    let before = fan_outs();
+    assert_eq!(common::on_one_lane(sweep), table);
+    assert_eq!(fan_outs(), before);
 }

@@ -1,7 +1,7 @@
 //! The acceptance test for the open sensing surface: custom third-party
 //! backends — defined only in this test file, outside every workspace
-//! crate — run through `SweepBuilder` in a parallel multi-worker sweep and
-//! appear in the `RocTable` next to the built-in detectors.
+//! crate — run through `SweepBuilder` in a sweep on every lane and appear
+//! in the `RocTable` next to the built-in detectors.
 //!
 //! Two registration paths are exercised:
 //!
@@ -10,6 +10,8 @@
 //! * a non-`Clone` backend registered through a hand-written
 //!   [`BackendRecipe`] (the path a stateful platform-like detector would
 //!   take).
+
+mod common;
 
 use cfd_core::backend::{BackendRecipe, Decision, Observation, SensingBackend};
 use cfd_core::error::CfdError;
@@ -81,7 +83,7 @@ impl SensingBackend for VotingBackend {
     }
 }
 
-/// The hand-written recipe for the non-`Clone` backend: each sweep worker
+/// The hand-written recipe for the non-`Clone` backend: each sweep lane
 /// gets a fresh replica with its own counter.
 #[derive(Debug, Clone)]
 struct VotingRecipe {
@@ -112,7 +114,7 @@ fn custom_backends_run_in_a_parallel_sweep_and_appear_in_the_table() {
         .with_seed(23);
     let sweep = SnrSweep::new(vec![-10.0, 0.0, 10.0], 8).unwrap();
 
-    let run = |workers: usize| {
+    let run = || {
         SweepBuilder::new(&scenario)
             .sweep(sweep.clone())
             // Built-ins for comparison…
@@ -124,12 +126,11 @@ fn custom_backends_run_in_a_parallel_sweep_and_appear_in_the_table() {
                 params: params.clone(),
                 observation_len: len,
             })
-            .workers(workers)
             .run()
             .unwrap()
     };
 
-    let table = run(3);
+    let table = run();
     // All four backends appear, in insertion order, under their own labels.
     assert_eq!(
         table.detectors(),
@@ -157,9 +158,9 @@ fn custom_backends_run_in_a_parallel_sweep_and_appear_in_the_table() {
         let vote = table.row("either-vote", snr).unwrap();
         assert!(vote.pd >= energy.pd, "vote must dominate energy at {snr}");
     }
-    // Custom backends keep the engine deterministic: the parallel table is
-    // bit-identical to the serial reference.
-    assert_eq!(table, run(1));
+    // Custom backends keep the engine deterministic: the table is
+    // bit-identical to the same sweep on one lane.
+    assert_eq!(table, common::on_one_lane(run));
 
     // And the custom detectors survive the JSON emission path (labels are
     // escaped, schema versioned).

@@ -1,6 +1,6 @@
 //! Pins the sweep engine's shared-spectra contract: block spectra are
-//! computed **once per trial**, not once per backend replica, on both the
-//! serial and the parallel execution path of the `SensingBackend` surface.
+//! computed **once per trial**, not once per backend replica, whether the
+//! sweep runs on one lane or on every lane of the `SensingBackend` surface.
 //! The analytic SoC backends go further and share the trial's DSCF itself:
 //! a roster of a CFD detector, an analytic SoC session and an analytic
 //! `SpectrumSensor` pays for **one** DSCF accumulate per trial, decides
@@ -14,6 +14,8 @@
 //! For the same reason everything here is **one** `#[test]`: libtest runs
 //! tests of a binary in parallel, and two tests measuring exact deltas of
 //! the same global counter would race each other.
+
+mod common;
 
 use cfd_core::app::{CfdApplication, Platform};
 use cfd_core::SpectrumSensor;
@@ -61,7 +63,7 @@ fn spectra_are_computed_once_per_trial_on_serial_and_parallel_paths() {
     // re-ran windowing + FFT per observation, and before the analytic
     // platform every SoC replica additionally simulated an on-tile FFT per
     // tile.
-    let builder_with = |workers: usize| {
+    let run = || {
         SweepBuilder::new(&scenario)
             .sweep(sweep.clone())
             .backend(EnergyDetector::new(1.0, 0.1, len).unwrap())
@@ -73,27 +75,26 @@ fn spectra_are_computed_once_per_trial_on_serial_and_parallel_paths() {
                 0.35,
                 1,
             ))
-            .workers(workers)
             .run()
             .unwrap()
     };
 
     // --- The open SweepBuilder engine ----------------------------------
     let before = spectra_computations();
-    let serial = builder_with(1);
+    let serial = common::on_one_lane(run);
     let after_serial = spectra_computations();
     assert_eq!(
         (after_serial - before) as usize,
         observations,
-        "serial sweep must compute spectra once per observation"
+        "a sweep on one lane must compute spectra once per observation"
     );
 
-    let parallel = builder_with(3);
+    let parallel = run();
     let after_parallel = spectra_computations();
     assert_eq!(
         (after_parallel - after_serial) as usize,
         observations,
-        "parallel sweep must compute spectra once per observation"
+        "a sweep on every lane must compute spectra once per observation"
     );
     assert_eq!(serial, parallel);
 

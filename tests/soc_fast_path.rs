@@ -11,6 +11,8 @@
 //! default, fed by shared software spectra) and `ExecutionMode::Lockstep`
 //! (the golden reference simulating its own on-tile FFTs).
 
+mod common;
+
 use cfd_core::app::{CfdApplication, Platform};
 use cfd_dsp::complex::Cplx;
 use cfd_dsp::scf::{ScfEngine, ScfParams};
@@ -97,7 +99,7 @@ fn sweep_decisions_are_identical_across_analytic_and_lockstep() {
         .expect("built-in preset")
         .with_seed(7);
     let sweep = SnrSweep::new(vec![-5.0, 5.0], 6).unwrap();
-    let run = |mode: ExecutionMode, workers: usize| {
+    let run = |mode: ExecutionMode| {
         SweepBuilder::new(&scenario)
             .sweep(sweep.clone())
             .backend(SessionRecipe::new(
@@ -106,15 +108,13 @@ fn sweep_decisions_are_identical_across_analytic_and_lockstep() {
                 0.35,
                 1,
             ))
-            .workers(workers)
             .run()
             .unwrap()
     };
-    let workers = 3;
-    let fast = run(ExecutionMode::Analytic, workers);
-    let golden = run(ExecutionMode::Lockstep, workers);
+    let fast = run(ExecutionMode::Analytic);
+    let golden = run(ExecutionMode::Lockstep);
     assert_eq!(fast, golden);
-    // The serial path agrees too (the sharing happens per worker).
-    let serial = run(ExecutionMode::Analytic, 1);
-    assert_eq!(serial, golden);
+    // One lane agrees too (the sharing happens per lane).
+    let one_lane = common::on_one_lane(|| run(ExecutionMode::Analytic));
+    assert_eq!(one_lane, golden);
 }

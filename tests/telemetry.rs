@@ -8,13 +8,15 @@
 //!   roster fills every per-stage histogram of the pipeline (FFT, DSCF
 //!   spectra + accumulate, SoC correlate, decide, sweep cells);
 //! * **snapshot determinism** — the throughput counters advance by the
-//!   same amount whether the sweep runs serially or with three workers:
-//!   worker count is an execution detail, not a metric.
+//!   same amount whether the sweep runs on one lane or on every lane: the
+//!   lane count is an execution detail, not a metric.
 //!
 //! This lives in its own integration-test binary, as **one** `#[test]`, on
 //! purpose: the metric registry is process-global and `set_enabled` is a
 //! process-global switch, so delta measurements must not race other tests
 //! in the same process.
+
+mod common;
 
 use cfd_core::app::{CfdApplication, Platform};
 use cfd_core::stream::{StreamingConfig, StreamingSensor};
@@ -56,7 +58,7 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
 
     // A golden-model CFD plus a tiled-SoC session: between them they touch
     // every stage histogram in `STAGES`.
-    let run_sweep = |workers: usize| {
+    let run_sweep = || {
         SweepBuilder::new(&scenario)
             .sweep(sweep.clone())
             .backend(CyclostationaryDetector::new(params(), 0.35, 1).unwrap())
@@ -66,7 +68,6 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
                 0.35,
                 1,
             ))
-            .workers(workers)
             .run()
             .unwrap()
     };
@@ -77,7 +78,7 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
         "timing must be off unless a binary opts in"
     );
     let before = cfd_telemetry::registry().snapshot();
-    let table_disabled = run_sweep(1);
+    let table_disabled = common::on_one_lane(run_sweep);
     let after = cfd_telemetry::registry().snapshot();
     for stage in STAGES {
         assert_eq!(
@@ -105,7 +106,7 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
     // --- 2. Enabled mode: one sweep fills every stage histogram ---------
     cfd_telemetry::set_enabled(true);
     let before = after;
-    let table_serial = run_sweep(1);
+    let table_serial = common::on_one_lane(run_sweep);
     let mid = cfd_telemetry::registry().snapshot();
     for stage in STAGES {
         assert!(
@@ -115,23 +116,22 @@ fn telemetry_is_inert_by_default_and_covers_every_stage_when_enabled() {
     }
     assert!(hcount(&mid, "scenario.sweep.run_ns") > hcount(&before, "scenario.sweep.run_ns"));
 
-    // --- 3. Snapshot determinism: worker count is not a metric ----------
-    let table_parallel = run_sweep(3);
+    // --- 3. Snapshot determinism: the lane count is not a metric -------
+    let table_parallel = run_sweep();
     let after = cfd_telemetry::registry().snapshot();
-    // The parallel engine additionally times per-cell work and queue waits.
     assert!(
         hcount(&after, "scenario.sweep.cell_ns") > hcount(&mid, "scenario.sweep.cell_ns"),
-        "parallel sweeps time each work cell"
+        "sweeps on every lane time each work cell"
     );
     assert_eq!(
         trials_counter(&mid) - trials_counter(&before),
         trials_counter(&after) - trials_counter(&mid),
-        "serial and parallel sweeps must count the same trials"
+        "one lane and every lane must count the same trials"
     );
     assert_eq!(
         spectra_counter(&mid) - spectra_counter(&before),
         spectra_counter(&after) - spectra_counter(&mid),
-        "serial and parallel sweeps must compute the same spectra"
+        "one lane and every lane must compute the same spectra"
     );
     // And the tables themselves stay bit-identical across all three runs.
     assert_eq!(table_serial, table_parallel);
