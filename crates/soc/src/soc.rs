@@ -644,6 +644,33 @@ mod tests {
     }
 
     #[test]
+    fn threaded_run_matches_lockstep_exactly() {
+        // Sweep cells run whole lockstep SoCs on worker threads; concurrent
+        // runs must not disturb one another (the telemetry instruments are
+        // process-wide) and must equal a run on the calling thread.
+        let (signal, _) = test_signal(2);
+        let mut lockstep = small_soc(ExecutionMode::Lockstep, 4);
+        let run_a = lockstep.run(&signal, 2).unwrap();
+        let runs: Vec<SocRun> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut soc = small_soc(ExecutionMode::Lockstep, 4);
+                        soc.run(&signal, 2).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for run_b in &runs {
+            assert_eq!(run_a.scf.max_abs_difference(&run_b.scf), 0.0);
+            assert_eq!(run_a.inter_tile_transfers, run_b.inter_tile_transfers);
+            assert_eq!(run_a.source_inputs, run_b.source_inputs);
+            assert_eq!(run_a.per_tile_cycles, run_b.per_tile_cycles);
+        }
+    }
+
+    #[test]
     fn different_tile_counts_give_identical_results() {
         let (signal, params) = test_signal(2);
         let reference = dscf_reference(&signal, &params).unwrap();
