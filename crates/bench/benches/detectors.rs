@@ -1,9 +1,11 @@
 //! Criterion bench of the two spectrum-sensing detectors on identical
 //! observations: the energy detector is orders of magnitude cheaper, which
 //! is exactly the trade-off (Section 2) that motivates mapping the DSCF onto
-//! a parallel platform.
+//! a parallel platform. Both decide through `SensingBackend` on an
+//! observation reloaded per iteration, so no cached spectra carry over.
 
-use cfd_dsp::detector::{CyclostationaryDetector, Detector, EnergyDetector};
+use cfd_core::backend::{Observation, SensingBackend};
+use cfd_dsp::detector::{CyclostationaryDetector, EnergyDetector};
 use cfd_dsp::scf::ScfParams;
 use cfd_dsp::signal::{SignalBuilder, SymbolModulation};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -17,7 +19,7 @@ fn bench_detectors(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(500));
 
     let params = ScfParams::new(64, 15, 16).unwrap();
-    let observation = SignalBuilder::new(params.samples_needed())
+    let samples = SignalBuilder::new(params.samples_needed())
         .modulation(SymbolModulation::Bpsk)
         .samples_per_symbol(4)
         .snr_db(0.0)
@@ -26,14 +28,21 @@ fn bench_detectors(c: &mut Criterion) {
         .unwrap()
         .samples;
 
-    let energy = EnergyDetector::new(1.0, 0.05, observation.len()).unwrap();
+    let mut observation = Observation::new();
+    let mut energy = EnergyDetector::new(1.0, 0.05, samples.len()).unwrap();
     group.bench_function("energy_detector", |b| {
-        b.iter(|| energy.detect(&observation).unwrap());
+        b.iter(|| {
+            observation.load(&samples);
+            energy.decide(&mut observation).unwrap()
+        });
     });
 
-    let cfd = CyclostationaryDetector::new(params, 0.35, 1).unwrap();
+    let mut cfd = CyclostationaryDetector::new(params, 0.35, 1).unwrap();
     group.bench_function("cyclostationary_detector", |b| {
-        b.iter(|| cfd.detect(&observation).unwrap());
+        b.iter(|| {
+            observation.load(&samples);
+            cfd.decide(&mut observation).unwrap()
+        });
     });
 
     group.finish();

@@ -4,7 +4,7 @@
 //! sweep engine, whose cells are the tasks of one `cfd_dsp::lanes`
 //! fan-out.
 
-use cfd_dsp::detector::{CyclostationaryDetector, Detector, EnergyDetector};
+use cfd_dsp::detector::{CyclostationaryDetector, EnergyDetector};
 use cfd_dsp::scf::ScfParams;
 use cfd_scenario::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -146,8 +146,9 @@ fn bench_sweep_engine_parallelism(c: &mut Criterion) {
 
 /// Before/after of the shared-spectra rework for a roster of several CFD
 /// detectors: `per_replica` re-runs windowing + FFT + DSCF from raw
-/// samples inside every replica (the old behaviour, reconstructed via
-/// `Detector::detect`), `shared_observation` is the current engine path
+/// samples inside every replica (the old behaviour, reconstructed by
+/// reloading the observation before each replica decides),
+/// `shared_observation` is the current engine path
 /// where each trial's block spectra are computed once inside a reusable
 /// `Observation` and every CFD backend reuses them. Decisions are
 /// identical; only the work differs.
@@ -175,15 +176,15 @@ fn bench_sweep_shared_spectra(c: &mut Criterion) {
         .collect();
 
     group.bench_function("per_replica_fft_3cfd_8trials", |b| {
-        let replicas: Vec<_> = detectors.to_vec();
+        let mut replicas: Vec<_> = detectors.to_vec();
+        let mut own = Observation::new();
         b.iter(|| {
             let mut positives = 0usize;
             for observation in &observations {
-                for replica in &replicas {
-                    if replica
-                        .detect(&observation.samples)
+                for replica in &mut replicas {
+                    own.load(&observation.samples);
+                    if SensingBackend::decide(replica, &mut own)
                         .unwrap()
-                        .decision
                         .is_signal()
                     {
                         positives += 1;

@@ -122,27 +122,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     header("Streaming decisions through one sensing session (configure once, decide many)");
-    let mut session = SensingSession::new(
-        CfdApplication::paper_with_blocks(1),
-        &Platform::paper(),
-        0.35,
-        2,
-    )?;
-    let observations: Vec<Vec<_>> = (0..8).map(|seed| awgn(256, 1.0, 10 + seed)).collect();
-    let batch_refs: Vec<&[_]> = observations.iter().map(Vec::as_slice).collect();
-    let batch = session.decide_batch(&batch_refs)?;
+    let platform = Platform::paper();
+    let mut sensor = SpectrumSensor::new(CfdApplication::paper_with_blocks(1), &platform, 0.35, 2)?;
+    let mut observation = Observation::new();
+    for seed in 0..8 {
+        observation.load(&awgn(256, 1.0, 10 + seed));
+        sensor.decide(&mut observation)?;
+    }
+    let blocks = sensor.decisions() * sensor.application().num_blocks as u64;
+    let critical_cycles = sensor.critical_cycles();
     println!(
         "decisions streamed        : {}   (platform configured {} time(s))",
-        session.decisions(),
-        session.configurations()
+        sensor.decisions(),
+        sensor.configurations()
     );
-    println!("blocks processed          : {}", batch.blocks);
+    println!("blocks processed          : {blocks}");
     println!(
-        "critical-path cycles      : {}   ({} per block)",
-        batch.critical_cycles,
-        batch.critical_cycles / batch.blocks as u64
+        "critical-path cycles      : {critical_cycles}   ({} per block)",
+        critical_cycles / blocks
     );
-    println!("platform time for batch   : {:.2} us", batch.elapsed_us);
+    println!(
+        "platform time for batch   : {:.2} us",
+        critical_cycles as f64 / platform.tile.clock_mhz
+    );
 
     header("Sweep-engine cross-check: Pd/Pfa of the platform path vs the golden model");
     let application = CfdApplication::new(32, 7, 32)?;

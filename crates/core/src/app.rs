@@ -4,12 +4,11 @@
 use crate::error::CfdError;
 use cfd_dsp::scf::ScfParams;
 use montium_sim::MontiumConfig;
-use serde::{Deserialize, Serialize};
 use tiled_soc::config::{ExecutionMode, SocConfig};
 
 /// The Cyclostationary-Feature-Detection application: which DSCF to compute
 /// and over how many integration steps.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CfdApplication {
     /// FFT length `K` (the paper analyses 256-point spectra).
     pub fft_len: usize,
@@ -109,7 +108,7 @@ impl CfdApplication {
 }
 
 /// The target platform: how many Montium tiles, at what clock, executed how.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Number of Montium tiles.
     pub cores: usize,

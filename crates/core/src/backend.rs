@@ -13,17 +13,18 @@
 //!   steady-state reuse performs no allocation.
 //! * [`Decision`] is the one structured result: a [`Verdict`], the scalar
 //!   statistic and threshold behind it, and (for platform-backed paths)
-//!   optional [`PlatformMetrics`].
+//!   optional [`PlatformMetrics`]. [`Decision::new`] is the one place a
+//!   statistic becomes a verdict.
 //! * [`SensingBackend`] is the open trait every detector implements —
-//!   [`EnergyDetector`], [`CyclostationaryDetector`], the tiled-SoC
-//!   [`SpectrumSensor`](crate::sensing::SpectrumSensor) and
-//!   [`SensingSession`] all do, and so can any third-party detector,
+//!   [`EnergyDetector`], [`CyclostationaryDetector`] and the tiled-SoC
+//!   [`SpectrumSensor`] all do, and so can any third-party detector,
 //!   which then participates in `cfd-scenario`'s parallel ROC sweeps
-//!   without touching any of these crates.
+//!   without touching any of these crates. [`SensingBackend::decide`] is
+//!   the only way to get a verdict.
 //! * [`BackendRecipe`] is the shareable description from which each sweep
 //!   lane builds its own backend replica; every `Clone + Sync` backend
-//!   is automatically its own recipe, and [`SessionRecipe`] opens a fresh
-//!   [`SensingSession`] per replica.
+//!   is automatically its own recipe, and [`SessionRecipe`] builds a fresh
+//!   [`SpectrumSensor`] per replica.
 //!
 //! # Example: a custom backend through the unified surface
 //!
@@ -63,13 +64,10 @@
 
 use crate::app::{CfdApplication, Platform};
 use crate::error::CfdError;
-use crate::sensing::SensingSession;
+use crate::sensing::SpectrumSensor;
 use cfd_dsp::complex::Cplx;
-use cfd_dsp::detector::{
-    CyclostationaryDetector, DetectionOutcome, Detector, EnergyDetector, Verdict,
-};
+use cfd_dsp::detector::{CyclostationaryDetector, EnergyDetector, Verdict};
 use cfd_dsp::scf::{ScfEngine, ScfMatrix, ScfParams};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 use tiled_soc::power::PlatformMetrics;
 
@@ -417,10 +415,6 @@ impl Observation {
 /// scalar statistic and threshold behind it, and — for platform-backed
 /// backends — optional [`PlatformMetrics`].
 ///
-/// This replaces the previous mix of `bool` (sweep decisions),
-/// [`DetectionOutcome`] (detector-level results) and `SensingReport`
-/// (platform reports) at the [`SensingBackend`] surface.
-///
 /// # Examples
 ///
 /// ```
@@ -432,7 +426,7 @@ impl Observation {
 /// assert!(decision.is_signal());
 /// assert!(decision.metrics.is_none());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Decision {
     /// The binary verdict ("band occupied?").
     pub verdict: Verdict,
@@ -447,8 +441,8 @@ pub struct Decision {
 
 impl Decision {
     /// A decision from a statistic/threshold pair; the verdict is
-    /// `statistic > threshold`, matching every detector in this
-    /// repository.
+    /// `statistic > threshold`. Every backend in this repository turns its
+    /// statistic into a verdict here.
     pub fn new(statistic: f64, threshold: f64) -> Self {
         Decision {
             verdict: if statistic > threshold {
@@ -458,17 +452,6 @@ impl Decision {
             },
             statistic,
             threshold,
-            metrics: None,
-        }
-    }
-
-    /// Wraps a detector-level [`DetectionOutcome`], preserving its verdict
-    /// bit for bit.
-    pub fn from_outcome(outcome: DetectionOutcome) -> Self {
-        Decision {
-            verdict: outcome.decision,
-            statistic: outcome.statistic,
-            threshold: outcome.threshold,
             metrics: None,
         }
     }
@@ -483,24 +466,13 @@ impl Decision {
     pub fn is_signal(&self) -> bool {
         self.verdict.is_signal()
     }
-
-    /// The detector-level view of this decision (statistic, threshold,
-    /// verdict — the platform metrics are dropped).
-    pub fn outcome(&self) -> DetectionOutcome {
-        DetectionOutcome {
-            statistic: self.statistic,
-            threshold: self.threshold,
-            decision: self.verdict,
-        }
-    }
 }
 
 /// The open trait unifying every sensing path: one [`Observation`] in, one
 /// [`Decision`] out.
 ///
-/// Implemented by [`EnergyDetector`], [`CyclostationaryDetector`], the
-/// tiled-SoC [`SpectrumSensor`](crate::sensing::SpectrumSensor) and
-/// [`SensingSession`] — and by any third-party detector, which then plugs
+/// Implemented by [`EnergyDetector`], [`CyclostationaryDetector`] and the
+/// tiled-SoC [`SpectrumSensor`] — and by any third-party detector, which then plugs
 /// into `cfd-scenario`'s `SweepBuilder` (via [`BackendRecipe`]) without
 /// touching any crate of this workspace.
 ///
@@ -525,23 +497,6 @@ pub trait SensingBackend {
     ///
     /// Propagates detector and platform errors (e.g. too few samples).
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError>;
-
-    /// Takes one decision per observation, in order. The provided
-    /// implementation simply iterates [`SensingBackend::decide`];
-    /// platform-backed backends may override it to stream the batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing decision's error.
-    fn decide_batch(
-        &mut self,
-        observations: &mut [Observation],
-    ) -> Result<Vec<Decision>, CfdError> {
-        observations
-            .iter_mut()
-            .map(|observation| self.decide(observation))
-            .collect()
-    }
 }
 
 /// A boxed backend is a backend: lets generic consumers like
@@ -555,13 +510,6 @@ impl<B: SensingBackend + ?Sized> SensingBackend for Box<B> {
 
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
         (**self).decide(observation)
-    }
-
-    fn decide_batch(
-        &mut self,
-        observations: &mut [Observation],
-    ) -> Result<Vec<Decision>, CfdError> {
-        (**self).decide_batch(observations)
     }
 }
 
@@ -577,7 +525,8 @@ impl SensingBackend for EnergyDetector {
     /// while telemetry is enabled.
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
         let _span = cfd_telemetry::span("core.decide.energy_ns");
-        Ok(Decision::from_outcome(self.detect(observation.samples())?))
+        let statistic = self.statistic(observation.samples())?;
+        Ok(Decision::new(statistic, self.threshold()))
     }
 }
 
@@ -590,16 +539,19 @@ impl SensingBackend for CyclostationaryDetector {
     /// this detector's [`ScfParams`] — derived (once per observation) from
     /// the shared DSCF, or served directly when a streaming producer
     /// installed it. The feature statistic depends on the matrix only
-    /// through the profile, so decisions are bit-identical to
-    /// [`Detector::detect`] on the raw samples: the engine's spectra and
-    /// matrix paths are the ones `detect` uses internally.
+    /// through the profile, so statistics are bit-identical to
+    /// [`CyclostationaryDetector::statistic`] on the raw samples: the
+    /// engine's spectra and profile paths are the ones it uses internally.
     ///
     /// The decision is timed into the `core.decide.cfd_ns` histogram while
     /// telemetry is enabled.
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
         let _span = cfd_telemetry::span("core.decide.cfd_ns");
         let profile = observation.cyclic_profile_for(self.engine())?;
-        Ok(Decision::from_outcome(self.detect_from_profile(profile)))
+        Ok(Decision::new(
+            self.statistic_from_profile(profile),
+            self.threshold(),
+        ))
     }
 }
 
@@ -615,8 +567,8 @@ impl SensingBackend for CyclostationaryDetector {
 /// serially.
 ///
 /// Every `Clone + Sync` backend is automatically its own recipe (a clone
-/// is a full replica for the configuration-only golden models); platform
-/// sessions are built by [`SessionRecipe`].
+/// is a full replica for the configuration-only golden models); tiled-SoC
+/// sensors are built by [`SessionRecipe`].
 pub trait BackendRecipe: Sync {
     /// Stable label for result tables (matches the built replica's
     /// [`SensingBackend::label`]).
@@ -650,7 +602,7 @@ where
     }
 }
 
-/// Recipe opening a fresh [`SensingSession`] (one platform configuration,
+/// Recipe building a fresh [`SpectrumSensor`] (one platform configuration,
 /// amortised over every decision of the replica's lifetime) per replica —
 /// the platform counterpart of the `Clone` blanket recipe.
 ///
@@ -708,7 +660,7 @@ impl BackendRecipe for SessionRecipe {
     }
 
     fn build(&self) -> Result<Box<dyn SensingBackend + Send>, CfdError> {
-        Ok(Box::new(SensingSession::new(
+        Ok(Box::new(SpectrumSensor::new(
             self.application.clone(),
             &self.platform,
             self.threshold,
@@ -847,8 +799,8 @@ mod tests {
 
     /// Broken input must never read as "band vacant": with NaN or +Inf at
     /// every 7th sample, every backend returns an error, never a verdict —
-    /// the software CFD and energy detectors, the analytic SoC session,
-    /// the lockstep SoC session and the raw-sample analytic SoC sensor
+    /// the software CFD and energy detectors, the analytic SoC sensor, the
+    /// lockstep SoC sensor and the raw-sample analytic [`SpectrumSensor::sense`]
     /// (both of which window the samples on the platform), and an OR
     /// fusion of them.
     #[test]
@@ -864,8 +816,7 @@ mod tests {
             .with_member(energy.clone())
             .with_member(cfd.clone())
             .with_member(session.clone());
-        let mut sensor =
-            crate::sensing::SpectrumSensor::new(application, &Platform::paper(), 0.35, 1).unwrap();
+        let mut sensor = SpectrumSensor::new(application, &Platform::paper(), 0.35, 1).unwrap();
         let refused = DspError::NonFiniteSample { index: 0 };
         let on_platform = CfdError::Soc(tiled_soc::error::SocError::Dsp(refused.clone()));
         let recipes: [(&dyn BackendRecipe, &CfdError); 5] = [
@@ -885,51 +836,66 @@ mod tests {
                 let result = recipe.build().unwrap().decide(&mut observation);
                 assert_eq!(result.as_ref(), Err(error), "{} on {bad}", recipe.label());
             }
-            let raw = sensor.decide(&samples).map(Decision::from_outcome);
+            let raw = sensor.sense(&samples).map(|report| report.outcome);
             assert_eq!(raw.as_ref(), Err(&on_platform), "raw-sample SoC on {bad}");
         }
     }
 
     /// Finite input whose DSCF would overflow must not read as "band
     /// vacant" either: scaled by 1e150 it used to decide with a NaN
-    /// statistic, and by 1e200 or 1e300 with a statistic of 0.0.
+    /// statistic, and by 1e200 or 1e300 with a statistic of 0.0 — on the
+    /// software paths, and on both raw-sample SoC paths (a lockstep
+    /// sensor, and [`SpectrumSensor::sense`] on the analytic platform).
     #[test]
     fn overflowing_samples_fail_every_backend() {
         let params = ScfParams::new(32, 7, 16).unwrap();
         let application = CfdApplication::new(32, 7, 16).unwrap();
         let cfd = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
-        let session = SessionRecipe::new(application, &Platform::paper(), 0.35, 1);
+        let session = SessionRecipe::new(application.clone(), &Platform::paper(), 0.35, 1);
+        let lockstep = Platform::paper().with_mode(tiled_soc::config::ExecutionMode::Lockstep);
+        let simulated = SessionRecipe::new(application.clone(), &lockstep, 0.35, 1);
         let fleet = crate::fusion::FusionCenter::new(crate::fusion::FusionRule::Or)
             .with_member(cfd.clone())
             .with_member(session.clone());
-        let recipes: [&dyn BackendRecipe; 3] = [&cfd, &session, &fleet];
+        let mut sensor = SpectrumSensor::new(application, &Platform::paper(), 0.35, 1).unwrap();
+        let recipes: [&dyn BackendRecipe; 4] = [&cfd, &session, &simulated, &fleet];
+        let overflowed = |result: &Result<Decision, CfdError>| match result {
+            Err(CfdError::Dsp(error))
+            | Err(CfdError::Soc(tiled_soc::error::SocError::Dsp(error))) => {
+                matches!(error, DspError::SpectrumOverflow { block: 0, .. })
+            }
+            _ => false,
+        };
         for scale in [1e150, 1e200, 1e300] {
             let samples: Vec<Cplx> = busy(&params, 3.0, 9).iter().map(|&x| x * scale).collect();
             for recipe in recipes {
                 let mut observation = Observation::from_samples(samples.clone());
                 let result = recipe.build().unwrap().decide(&mut observation);
                 assert!(
-                    matches!(
-                        result,
-                        Err(CfdError::Dsp(DspError::SpectrumOverflow { block: 0, .. }))
-                    ),
+                    overflowed(&result),
                     "{} at {scale:e}: {result:?}",
                     recipe.label()
                 );
             }
+            let raw = sensor.sense(&samples).map(|report| report.outcome);
+            assert!(overflowed(&raw), "raw-sample SoC at {scale:e}: {raw:?}");
         }
     }
 
     #[test]
     fn decision_constructors_agree_with_the_detector_convention() {
+        // Strictly above the threshold is "occupied"; a tie and a NaN
+        // statistic are not.
         let decision = Decision::new(0.5, 0.5);
         assert_eq!(decision.verdict, Verdict::NoiseOnly);
         assert!(!decision.is_signal());
-        let outcome = decision.outcome();
-        assert_eq!(outcome.statistic, 0.5);
-        assert_eq!(outcome.decision, Verdict::NoiseOnly);
-        let roundtrip = Decision::from_outcome(outcome);
-        assert_eq!(roundtrip, decision);
+        assert_eq!((decision.statistic, decision.threshold), (0.5, 0.5));
+        assert!(Decision::new(0.51, 0.5).is_signal());
+        assert!(!Decision::new(f64::NAN, 0.5).is_signal());
+        let metrics = PlatformMetrics::new(&Platform::paper().soc_config(), 13_996, 256);
+        let with_metrics = decision.clone().with_metrics(metrics);
+        assert_eq!(with_metrics.verdict, decision.verdict);
+        assert_eq!(with_metrics.metrics, Some(metrics));
     }
 
     #[test]
@@ -940,13 +906,19 @@ mod tests {
 
         let mut energy = EnergyDetector::new(1.0, 0.05, samples.len()).unwrap();
         let energy_decision = energy.decide(&mut observation).unwrap();
-        assert_eq!(energy_decision.outcome(), energy.detect(&samples).unwrap());
+        let statistic = energy.statistic(&samples).unwrap();
+        assert_eq!(
+            energy_decision,
+            Decision::new(statistic, energy.threshold())
+        );
         assert_eq!(SensingBackend::label(&energy), "energy");
         assert!(energy_decision.metrics.is_none());
 
         let mut cfd = CyclostationaryDetector::new(params, 0.35, 1).unwrap();
         let cfd_decision = cfd.decide(&mut observation).unwrap();
-        assert_eq!(cfd_decision.outcome(), cfd.detect(&samples).unwrap());
+        let statistic = cfd.statistic(&samples).unwrap();
+        assert_eq!(cfd_decision.statistic.to_bits(), statistic.to_bits());
+        assert_eq!(cfd_decision, Decision::new(statistic, cfd.threshold()));
         assert_eq!(SensingBackend::label(&cfd), "cfd");
     }
 
@@ -964,22 +936,5 @@ mod tests {
             decision,
             SensingBackend::decide(&mut original, &mut observation).unwrap()
         );
-    }
-
-    #[test]
-    fn provided_decide_batch_iterates_decide() {
-        let params = ScfParams::new(32, 7, 8).unwrap();
-        let mut detector = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
-        let mut observations: Vec<Observation> = (0..3)
-            .map(|seed| Observation::from_samples(busy(&params, 0.0, 20 + seed)))
-            .collect();
-        let batch = detector.decide_batch(&mut observations).unwrap();
-        assert_eq!(batch.len(), 3);
-        for (observation, decision) in observations.iter_mut().zip(&batch) {
-            assert_eq!(
-                &SensingBackend::decide(&mut detector, observation).unwrap(),
-                decision
-            );
-        }
     }
 }

@@ -13,7 +13,7 @@
 //! * [`report`] — the Table 1 reproduction and the Section 5 evaluation /
 //!   scaling study;
 //! * [`sensing`] — end-to-end spectrum sensing on the simulated tiled SoC
-//!   (`tiled-soc`), with an energy-detector baseline;
+//!   (`tiled-soc`): [`SpectrumSensor`], the one SoC backend;
 //! * [`backend`] — the unified sensing API: one [`Observation`] in, one
 //!   [`Decision`] out, through the open [`SensingBackend`] trait that any
 //!   detector (including third-party ones) implements to join sweeps;
@@ -72,9 +72,7 @@ pub mod prelude {
     pub use crate::fusion::{FusionCenter, FusionRule, MemberChannel};
     pub use crate::methodology::{MappingReport, Step1Report, Step2Report, TwoStepMapping};
     pub use crate::report::{EvaluationReport, EvaluationRow, Table1Report, Table1Row};
-    pub use crate::sensing::{
-        energy_detector_baseline, SensingReport, SensingSession, SessionBatch, SpectrumSensor,
-    };
+    pub use crate::sensing::{SensingReport, SpectrumSensor};
     pub use crate::service::{
         Backpressure, ChannelSubscription, DecisionSink, SensingScheduler, ServiceConfig,
         ServiceReport,

@@ -21,11 +21,10 @@ use cfd_mapping::memory::{MemoryRequirement, ShiftRegisterRequirement};
 use cfd_mapping::systolic::{SystolicArchitecture, SystolicArray};
 use cfd_mapping::transform::SpaceTimeMapping;
 use montium_sim::kernels::IntegrationStepCycles;
-use serde::{Deserialize, Serialize};
 use tiled_soc::power::PlatformMetrics;
 
 /// The outcome of Step 1: the folded multi-core architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Step1Report {
     /// Tasks of the initial (unfolded) systolic array, `P = 2M+1`.
     pub initial_processors: usize,
@@ -45,7 +44,7 @@ pub struct Step1Report {
 }
 
 /// The outcome of Step 2: per-core cycle budget and platform figures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Step2Report {
     /// Cycle breakdown of one integration step on the critical core
     /// (the Table 1 rows).
@@ -59,7 +58,7 @@ pub struct Step2Report {
 }
 
 /// The combined report of both steps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MappingReport {
     /// The application being mapped.
     pub application: CfdApplication,

@@ -7,10 +7,9 @@ use crate::app::{CfdApplication, Platform};
 use crate::error::CfdError;
 use crate::methodology::{MappingReport, TwoStepMapping};
 use montium_sim::kernels::IntegrationStepCycles;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 1.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table1Row {
     /// The task label as printed in the paper.
     pub task: String,
@@ -20,7 +19,7 @@ pub struct Table1Row {
 
 /// The Table 1 reproduction: cycle counts per task for one integration step
 /// on one Montium core.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table1Report {
     /// The rows in the paper's order.
     pub rows: Vec<Table1Row>,
@@ -111,7 +110,7 @@ impl Table1Report {
 }
 
 /// One row of the Section 5 evaluation / scaling study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvaluationRow {
     /// Number of Montium cores.
     pub cores: usize,
@@ -149,7 +148,7 @@ impl EvaluationRow {
 
 /// The Section 5 evaluation: the paper's 4-core operating point plus the
 /// scaling over other platform sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvaluationReport {
     /// One row per platform size.
     pub rows: Vec<EvaluationRow>,

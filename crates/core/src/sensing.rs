@@ -3,29 +3,31 @@
 //! This is the cognitive-radio use the paper motivates in its introduction:
 //! decide whether a licensed user occupies a band by computing the DSCF of
 //! the received samples — here on the simulated tiled SoC rather than a
-//! golden model — and thresholding its cyclic features. An energy-detector
-//! baseline (the simpler alternative of Cabric et al. \[7\]) is provided for
-//! comparison.
+//! golden model — and thresholding its cyclic features.
+//!
+//! [`SpectrumSensor`] is the one SoC backend. It configures its platform
+//! once and then takes every decision of its lifetime on it, booking each
+//! into session totals ([`SpectrumSensor::decisions`],
+//! [`SpectrumSensor::session_metrics`]). Decisions go through
+//! [`SensingBackend::decide`]; [`SpectrumSensor::sense`] additionally
+//! returns the platform's DSCF and per-tile counters.
 
 use crate::app::{CfdApplication, Platform};
 use crate::backend::{Decision, Observation, SensingBackend};
 use crate::error::CfdError;
 use cfd_dsp::complex::Cplx;
-use cfd_dsp::detector::{
-    CyclostationaryDetector, DetectionOutcome, Detector, EnergyDetector, Verdict,
-};
+use cfd_dsp::detector::CyclostationaryDetector;
 use cfd_dsp::scf::ScfMatrix;
-use serde::{Deserialize, Serialize};
 use tiled_soc::config::ExecutionMode;
 use tiled_soc::power::PlatformMetrics;
 use tiled_soc::soc::{SocRun, TiledSoc};
 use tiled_soc::tile::TileCycleBreakdown;
 
 /// The result of one sensing decision taken on the platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensingReport {
-    /// The detector outcome (statistic, threshold, decision).
-    pub outcome: DetectionOutcome,
+    /// The decision (statistic, threshold, verdict).
+    pub outcome: Decision,
     /// The DSCF computed by the platform.
     pub scf: ScfMatrix,
     /// Per-tile cycle breakdowns for the whole observation.
@@ -42,17 +44,30 @@ pub struct SensingReport {
 impl SensingReport {
     /// Convenience: whether the band was declared occupied.
     pub fn occupied(&self) -> bool {
-        self.outcome.decision == Verdict::SignalPresent
+        self.outcome.is_signal()
     }
 }
 
 /// A spectrum sensor: the CFD application mapped onto a simulated tiled SoC
 /// plus a cyclostationary detector thresholding the result.
+///
+/// The platform is configured **once**, at construction, and every
+/// decision of the sensor's lifetime then streams through it — the
+/// execution model of the paper's hardware, where the Montium programs are
+/// loaded once and samples stream through.
+/// [`SpectrumSensor::configurations`] exposes the underlying counter so
+/// callers can assert the contract.
 #[derive(Debug)]
 pub struct SpectrumSensor {
     application: CfdApplication,
     soc: TiledSoc,
     detector: CyclostationaryDetector,
+    /// Reused [`SocRun`] of the raw-sample decide path, so steady-state
+    /// decisions allocate nothing per run.
+    scratch: SocRun,
+    decisions: u64,
+    total_blocks: u64,
+    total_critical_cycles: u64,
 }
 
 impl SpectrumSensor {
@@ -78,8 +93,12 @@ impl SpectrumSensor {
             CyclostationaryDetector::new(application.scf_params()?, threshold, guard_offsets)?;
         Ok(SpectrumSensor {
             application,
+            scratch: soc.empty_run(),
             soc,
             detector,
+            decisions: 0,
+            total_blocks: 0,
+            total_critical_cycles: 0,
         })
     }
 
@@ -110,7 +129,7 @@ impl SpectrumSensor {
 
     /// The DSCF engine of this sensor's detector — its parameters are
     /// exactly the application's [`CfdApplication::scf_params`], so it keys
-    /// the [`Observation`] caches this sensor's backend decides from.
+    /// the [`Observation`] caches this sensor decides from.
     pub fn engine(&self) -> &cfd_dsp::scf::ScfEngine {
         self.detector.engine()
     }
@@ -126,54 +145,63 @@ impl SpectrumSensor {
         self.soc.config().mode == ExecutionMode::Analytic && !self.soc.config().tile.quantize_q15
     }
 
-    /// One decision from the observation's shared cyclic profile — the
-    /// DSCF a [`CyclostationaryDetector`] at the same [`ScfParams`] reads,
-    /// computed at most once per observation — with the platform's
-    /// closed-form cost booked for the application's blocks. Returns the
-    /// outcome and the critical-path cycles. For an analytic
-    /// full-precision platform this is exactly what
-    /// [`SpectrumSensor::decide`] computes from the raw samples: the
-    /// analytic SoC's DSCF *is* the engine's.
-    ///
-    /// [`ScfParams`]: cfd_dsp::scf::ScfParams
-    fn decide_shared(
-        &self,
-        observation: &mut Observation,
-    ) -> Result<(DetectionOutcome, u64), CfdError> {
-        let profile = observation.cyclic_profile_for(self.detector.engine())?;
-        let outcome = self.detector.detect_from_profile(profile);
-        Ok((outcome, self.soc.book_blocks(self.application.num_blocks)))
+    /// Decisions taken over the sensor's lifetime.
+    pub fn decisions(&self) -> u64 {
+        self.decisions
     }
 
-    /// Scenario-driven entry point: takes one decision on the simulated
-    /// platform and returns only the detector outcome, skipping the
-    /// report assembly of [`SpectrumSensor::sense`]. This is the hot path
-    /// for Monte-Carlo sweeps (`cfd-scenario`) that need thousands of
-    /// decisions and no per-decision metrics.
+    /// How many times the underlying platform has been configured. Stays at
+    /// 1 for the sensor's whole lifetime, however many decisions stream
+    /// through — the invariant the sweep engine relies on.
+    pub fn configurations(&self) -> u64 {
+        self.soc.configurations()
+    }
+
+    /// Critical-path cycles booked over every decision so far.
+    pub fn critical_cycles(&self) -> u64 {
+        self.total_critical_cycles
+    }
+
+    /// Platform metrics accumulated over every decision so far (average
+    /// per-block rate).
+    pub fn session_metrics(&self) -> PlatformMetrics {
+        let cycles_per_block = self
+            .total_critical_cycles
+            .checked_div(self.total_blocks)
+            .unwrap_or(0);
+        PlatformMetrics::new(
+            self.soc.config(),
+            cycles_per_block,
+            self.application.fft_len,
+        )
+    }
+
+    /// Books one decision of `blocks` integration steps and `cycles`
+    /// critical-path cycles into the session totals.
+    fn account(&mut self, blocks: usize, cycles: u64) {
+        self.decisions += 1;
+        self.total_blocks += blocks as u64;
+        self.total_critical_cycles += cycles;
+    }
+
+    /// Takes one sensing decision over `samples` on the platform
+    /// (`samples_per_decision()` samples are consumed) and reports the
+    /// platform's DSCF and counters with it. The decision counts toward
+    /// the session totals.
     ///
     /// # Errors
     ///
-    /// Propagates platform errors (e.g. too few samples).
-    pub fn decide(&mut self, samples: &[Cplx]) -> Result<DetectionOutcome, CfdError> {
-        self.soc.reset();
-        let run = self.soc.run(samples, self.application.num_blocks)?;
-        Ok(self.detector.detect_from_scf(&run.scf))
-    }
-
-    /// Takes one sensing decision over `samples`
-    /// (`samples_per_decision()` samples are consumed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors (e.g. too few samples).
+    /// Propagates platform errors: too few samples, a NaN or infinite
+    /// sample, or a block spectrum whose DSCF would overflow.
     pub fn sense(&mut self, samples: &[Cplx]) -> Result<SensingReport, CfdError> {
         self.soc.reset();
         let run = self.soc.run(samples, self.application.num_blocks)?;
-        let outcome = self.detector.detect_from_scf(&run.scf);
+        self.account(run.blocks, run.max_tile_cycles());
+        let statistic = self.detector.statistic_from_scf(&run.scf);
         let metrics = self.soc.metrics(&run);
         let latency_us = metrics.time_per_block_us * self.application.num_blocks as f64;
         Ok(SensingReport {
-            outcome,
+            outcome: Decision::new(statistic, self.detector.threshold()),
             scf: run.scf,
             per_tile_cycles: run.per_tile_cycles,
             inter_tile_transfers: run.inter_tile_transfers,
@@ -188,268 +216,50 @@ impl SensingBackend for SpectrumSensor {
         "cfd-soc".into()
     }
 
-    /// One decision through the unified surface: an analytic
-    /// full-precision platform decides from the observation's shared DSCF
-    /// (one accumulate per trial for the whole roster) and books its
-    /// closed-form cost; a simulating or Q15 platform computes its own
-    /// on-tile spectra from the raw samples. Either way the decision is
-    /// identical to [`SpectrumSensor::decide`] on the raw samples.
+    /// One decision plus its session accounting. An analytic
+    /// full-precision platform decides from the observation's shared
+    /// cyclic profile — the one a [`CyclostationaryDetector`] at the same
+    /// parameters reads, computed at most once per observation — and
+    /// books the platform's closed-form cost; the analytic SoC's DSCF *is*
+    /// the engine's. A simulating or Q15 platform computes its own on-tile
+    /// spectra from the raw samples. Either way the statistic equals
+    /// [`SpectrumSensor::sense`]'s on the same samples, and the decision
+    /// carries the [`SpectrumSensor::session_metrics`].
+    ///
+    /// The decision is timed into the `core.decide.cfd_soc_ns` histogram
+    /// while telemetry is enabled.
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
         let _span = cfd_telemetry::span("core.decide.cfd_soc_ns");
-        let outcome = if self.shares_software_spectra() {
-            self.decide_shared(observation)?.0
+        let blocks = self.application.num_blocks;
+        let statistic = if self.shares_software_spectra() {
+            let profile = observation.cyclic_profile_for(self.detector.engine())?;
+            let statistic = self.detector.statistic_from_profile(profile);
+            let cycles = self.soc.book_blocks(blocks);
+            self.account(blocks, cycles);
+            statistic
         } else {
-            SpectrumSensor::decide(self, observation.samples())?
+            self.soc.reset();
+            self.soc
+                .run_into(observation.samples(), blocks, &mut self.scratch)?;
+            self.account(self.scratch.blocks, self.scratch.max_tile_cycles());
+            self.detector.statistic_from_scf(&self.scratch.scf)
         };
-        Ok(Decision::from_outcome(outcome))
-    }
-}
-
-/// The platform cost of one batch streamed through a [`SensingSession`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SessionBatch {
-    /// One detector outcome per observation, in input order.
-    pub outcomes: Vec<DetectionOutcome>,
-    /// Integration steps processed over the whole batch.
-    pub blocks: usize,
-    /// Critical-path cycles accumulated over the whole batch.
-    pub critical_cycles: u64,
-    /// Platform metrics at the batch's average per-block rate.
-    pub metrics: PlatformMetrics,
-    /// Total platform time spent on the batch in µs.
-    pub elapsed_us: f64,
-}
-
-impl SessionBatch {
-    /// Convenience: the boolean decisions ("band occupied?") in input order.
-    pub fn decisions(&self) -> Vec<bool> {
-        self.outcomes
-            .iter()
-            .map(|o| o.decision.is_signal())
-            .collect()
-    }
-}
-
-/// A sensing session: the `TiledSoc` is configured **once** and batches of
-/// observations are then streamed through it.
-///
-/// This is the streaming counterpart of [`SpectrumSensor::sense`]. Where a
-/// naive sweep driver would rebuild (and thus reconfigure) the platform per
-/// decision, a session amortises the one-time sequencer configuration over
-/// every decision of its lifetime — the execution model the paper's
-/// hardware actually has, where the Montium programs are loaded once and
-/// samples stream through. [`SensingSession::configurations`] exposes the
-/// underlying counter so callers can assert the contract.
-#[derive(Debug)]
-pub struct SensingSession {
-    sensor: SpectrumSensor,
-    /// Reused [`SocRun`] (DSCF matrix + per-tile breakdowns), so a
-    /// session's steady-state decisions allocate nothing per run.
-    scratch: SocRun,
-    decisions: u64,
-    total_blocks: u64,
-    total_critical_cycles: u64,
-}
-
-impl SensingSession {
-    /// Opens a session over a freshly built sensor (one platform
-    /// configuration).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SpectrumSensor::new`] construction errors.
-    pub fn new(
-        application: CfdApplication,
-        platform: &Platform,
-        threshold: f64,
-        guard_offsets: usize,
-    ) -> Result<Self, CfdError> {
-        Ok(SensingSession::from_sensor(SpectrumSensor::new(
-            application,
-            platform,
-            threshold,
-            guard_offsets,
-        )?))
-    }
-
-    /// Wraps an existing sensor (its construction-time configuration counts
-    /// as this session's one configuration).
-    pub fn from_sensor(sensor: SpectrumSensor) -> Self {
-        let scratch = sensor.soc.empty_run();
-        SensingSession {
-            sensor,
-            scratch,
-            decisions: 0,
-            total_blocks: 0,
-            total_critical_cycles: 0,
-        }
-    }
-
-    /// The sensor this session streams through.
-    pub fn sensor(&self) -> &SpectrumSensor {
-        &self.sensor
-    }
-
-    /// Number of samples each observation must provide.
-    pub fn samples_per_decision(&self) -> usize {
-        self.sensor.samples_per_decision()
-    }
-
-    /// Decisions taken over the session's lifetime.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
-    }
-
-    /// How many times the underlying platform has been configured. Stays at
-    /// 1 for the whole session regardless of how many batches stream
-    /// through — the invariant the batched sweep engine relies on.
-    pub fn configurations(&self) -> u64 {
-        self.sensor.soc.configurations()
-    }
-
-    /// The DSCF engine keying this session's shared observation caches
-    /// (see [`SpectrumSensor::engine`]).
-    pub fn engine(&self) -> &cfd_dsp::scf::ScfEngine {
-        self.sensor.engine()
-    }
-
-    /// Whether shared software spectra reproduce this session's raw-sample
-    /// decisions (see [`SpectrumSensor::shares_software_spectra`]).
-    pub fn shares_software_spectra(&self) -> bool {
-        self.sensor.shares_software_spectra()
-    }
-
-    /// Books one processed decision of `blocks` integration steps and
-    /// `cycles` critical-path cycles into the session totals.
-    fn account(&mut self, blocks: usize, cycles: u64) {
-        self.decisions += 1;
-        self.total_blocks += blocks as u64;
-        self.total_critical_cycles += cycles;
-    }
-
-    /// One decision plus its session accounting — the single place where
-    /// counters are updated, shared by [`SensingSession::decide`] and
-    /// [`SensingSession::decide_batch`]. Returns the outcome and the
-    /// critical-path cycles of this decision.
-    fn decide_one(&mut self, samples: &[Cplx]) -> Result<(DetectionOutcome, u64), CfdError> {
-        let num_blocks = self.sensor.application.num_blocks;
-        self.sensor.soc.reset();
-        self.sensor
-            .soc
-            .run_into(samples, num_blocks, &mut self.scratch)?;
-        let cycles = self.scratch.max_tile_cycles();
-        self.account(self.scratch.blocks, cycles);
-        Ok((
-            self.sensor.detector.detect_from_scf(&self.scratch.scf),
-            cycles,
-        ))
-    }
-
-    /// Streams one batch of observations through the platform and returns
-    /// the outcomes plus the platform metrics accumulated over the batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors (e.g. too few samples). On a mid-batch
-    /// failure the earlier observations' outcomes are discarded but stay
-    /// counted in the session totals (they were processed); the session
-    /// remains usable.
-    pub fn decide_batch(&mut self, observations: &[&[Cplx]]) -> Result<SessionBatch, CfdError> {
-        let mut outcomes = Vec::with_capacity(observations.len());
-        let mut critical_cycles = 0u64;
-        for &samples in observations {
-            let (outcome, cycles) = self.decide_one(samples)?;
-            outcomes.push(outcome);
-            critical_cycles += cycles;
-        }
-        let blocks = observations.len() * self.sensor.application.num_blocks;
-        let config = self.sensor.soc.config();
-        let cycles_per_block = critical_cycles.checked_div(blocks as u64).unwrap_or(0);
-        let metrics =
-            PlatformMetrics::new(config, cycles_per_block, self.sensor.application.fft_len);
-        Ok(SessionBatch {
-            outcomes,
-            blocks,
-            critical_cycles,
-            // Exact, not `time_per_block_us * blocks`: the per-block rate
-            // in `metrics` is integer-truncated, the total must not be.
-            elapsed_us: critical_cycles as f64 / config.tile.clock_mhz,
-            metrics,
-        })
-    }
-
-    /// Takes a single decision (a one-observation batch without the report
-    /// allocation) — the unit the sweep engine's work queue dispatches.
-    ///
-    /// # Errors
-    ///
-    /// Propagates platform errors.
-    pub fn decide(&mut self, samples: &[Cplx]) -> Result<DetectionOutcome, CfdError> {
-        Ok(self.decide_one(samples)?.0)
-    }
-
-    /// Platform metrics accumulated over the whole session so far (average
-    /// per-block rate over every batch streamed).
-    pub fn session_metrics(&self) -> PlatformMetrics {
-        let cycles_per_block = self
-            .total_critical_cycles
-            .checked_div(self.total_blocks)
-            .unwrap_or(0);
-        PlatformMetrics::new(
-            self.sensor.soc.config(),
-            cycles_per_block,
-            self.sensor.application.fft_len,
+        Ok(
+            Decision::new(statistic, self.detector.threshold())
+                .with_metrics(self.session_metrics()),
         )
     }
-}
-
-impl SensingBackend for SensingSession {
-    fn label(&self) -> String {
-        "cfd-soc".into()
-    }
-
-    /// One decision plus the usual session accounting (the decision counts
-    /// toward [`SensingSession::decisions`] and the session totals). Like
-    /// [`SpectrumSensor`]'s backend impl, an analytic full-precision
-    /// platform decides from the observation's shared DSCF and books the
-    /// closed-form cost; the returned decision carries the session's
-    /// accumulated [`PlatformMetrics`].
-    fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
-        let _span = cfd_telemetry::span("core.decide.cfd_soc_ns");
-        let outcome = if self.shares_software_spectra() {
-            let (outcome, cycles) = self.sensor.decide_shared(observation)?;
-            self.account(self.sensor.application.num_blocks, cycles);
-            outcome
-        } else {
-            SensingSession::decide(self, observation.samples())?
-        };
-        Ok(Decision::from_outcome(outcome).with_metrics(self.session_metrics()))
-    }
-}
-
-/// Runs the energy-detector baseline over the same observation, calibrated
-/// for the given (assumed) noise power and false-alarm target.
-///
-/// # Errors
-///
-/// Propagates detector errors.
-pub fn energy_detector_baseline(
-    samples: &[Cplx],
-    assumed_noise_power: f64,
-    false_alarm: f64,
-) -> Result<DetectionOutcome, CfdError> {
-    let detector = EnergyDetector::new(assumed_noise_power, false_alarm, samples.len().max(1))?;
-    Ok(detector.detect(samples)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfd_dsp::detector::EnergyDetector;
     use cfd_dsp::signal::{SignalBuilder, SymbolModulation};
 
     fn sensor() -> SpectrumSensor {
         // A small, fast configuration: 15x15 DSCF over 32-point spectra on
-        // 4 tiles, 48 integration steps.
+        // 4 tiles, 64 integration steps.
         SpectrumSensor::new(
             CfdApplication::new(32, 7, 64).unwrap(),
             &Platform::paper(),
@@ -470,6 +280,10 @@ mod tests {
             builder = builder.noise_only();
         }
         builder.build().unwrap().samples
+    }
+
+    fn decide(sensor: &mut SpectrumSensor, samples: Vec<Cplx>) -> Result<Decision, CfdError> {
+        SensingBackend::decide(sensor, &mut Observation::from_samples(samples))
     }
 
     #[test]
@@ -525,10 +339,12 @@ mod tests {
             .into_iter()
             .map(|x| x * 1.26f64.sqrt())
             .collect();
-        let energy = energy_detector_baseline(&idle, 1.0, 0.05).unwrap();
+        let mut energy = EnergyDetector::new(1.0, 0.05, n).unwrap();
+        let energy =
+            SensingBackend::decide(&mut energy, &mut Observation::from_samples(idle.clone()));
         let cfd = sensor.sense(&idle).unwrap();
         assert!(
-            energy.decision.is_signal(),
+            energy.unwrap().is_signal(),
             "energy detector should false-alarm"
         );
         assert!(!cfd.occupied(), "CFD should not false-alarm");
@@ -536,73 +352,60 @@ mod tests {
 
     #[test]
     fn session_configures_once_and_streams_batches() {
-        let mut session = SensingSession::from_sensor(sensor());
-        let n = session.samples_per_decision();
-        let observations: Vec<Vec<Cplx>> = (0..6)
-            .map(|i| observation(i % 2 == 0, 5.0, n, 100 + i as u64))
-            .collect();
-        let refs: Vec<&[Cplx]> = observations.iter().map(Vec::as_slice).collect();
-        // Two batches through one session: still exactly one configuration.
-        let first = session.decide_batch(&refs[..4]).unwrap();
-        let second = session.decide_batch(&refs[4..]).unwrap();
-        assert_eq!(session.configurations(), 1);
-        assert_eq!(session.decisions(), 6);
-        assert_eq!(first.outcomes.len(), 4);
-        assert_eq!(second.outcomes.len(), 2);
-        assert_eq!(first.blocks, 4 * 64);
-        assert!(first.critical_cycles > 0);
-        assert!(first.elapsed_us > 0.0);
-        assert!(session.session_metrics().time_per_block_us > 0.0);
-        // The decision shorthand mirrors the outcomes one-to-one.
-        let expected: Vec<bool> = first
-            .outcomes
-            .iter()
-            .map(|o| o.decision.is_signal())
-            .collect();
-        assert_eq!(first.decisions(), expected);
+        let mut sensor = sensor();
+        let n = sensor.samples_per_decision();
+        for i in 0..6u64 {
+            let decision = decide(&mut sensor, observation(i % 2 == 0, 5.0, n, 100 + i)).unwrap();
+            assert_eq!(decision.metrics, Some(sensor.session_metrics()));
+        }
+        // Six decisions through one sensor: still exactly one configuration.
+        assert_eq!(sensor.configurations(), 1);
+        assert_eq!(sensor.decisions(), 6);
+        assert!(sensor.session_metrics().time_per_block_us > 0.0);
+        assert_eq!(
+            sensor.session_metrics(),
+            sensor.sense(&observation(true, 5.0, n, 3)).unwrap().metrics
+        );
+        assert_eq!(sensor.decisions(), 7);
     }
 
     #[test]
     fn session_decisions_match_the_sensor_path() {
-        // A batch through the session must reproduce per-observation
-        // `SpectrumSensor::decide` exactly: batching changes the schedule,
-        // not the arithmetic.
-        let mut session = SensingSession::from_sensor(sensor());
-        let mut reference = sensor();
-        let n = session.samples_per_decision();
-        let observations: Vec<Vec<Cplx>> = (0..4)
-            .map(|i| observation(i % 2 == 0, 2.0, n, 31 + i as u64))
-            .collect();
-        let refs: Vec<&[Cplx]> = observations.iter().map(Vec::as_slice).collect();
-        let batch = session.decide_batch(&refs).unwrap();
-        for (obs, outcome) in observations.iter().zip(&batch.outcomes) {
-            assert_eq!(&reference.decide(obs).unwrap(), outcome);
+        // Decisions through the backend must reproduce the platform run of
+        // `sense` exactly, on both the analytic and the lockstep platform.
+        let lockstep = Platform::paper().with_mode(ExecutionMode::Lockstep);
+        let application = CfdApplication::new(32, 7, 16).unwrap();
+        for platform in [Platform::paper(), lockstep] {
+            let mut sensor = SpectrumSensor::new(application.clone(), &platform, 0.35, 1).unwrap();
+            let mut reference =
+                SpectrumSensor::new(application.clone(), &platform, 0.35, 1).unwrap();
+            let n = sensor.samples_per_decision();
+            for i in 0..4u64 {
+                let samples = observation(i % 2 == 0, 2.0, n, 31 + i);
+                let mut decision = decide(&mut sensor, samples.clone()).unwrap();
+                decision.metrics = None;
+                assert_eq!(decision, reference.sense(&samples).unwrap().outcome);
+            }
+            assert_eq!(sensor.decisions(), 4);
+            assert_eq!(sensor.session_metrics(), reference.session_metrics());
+            assert_eq!(sensor.configurations(), 1);
         }
-        // Single decisions keep the session accounting consistent too.
-        let single = session.decide(&observations[0]).unwrap();
-        assert_eq!(single, batch.outcomes[0]);
-        assert_eq!(session.decisions(), 5);
-        assert_eq!(session.configurations(), 1);
     }
 
     #[test]
     fn spectra_fed_decisions_match_raw_sample_decisions() {
-        // The backend path decides from the observation's shared software
-        // spectra; it must reproduce the raw-sample session decision (and
-        // its statistic) exactly, with the same session accounting.
-        let mut via_samples = SensingSession::from_sensor(sensor());
-        let mut via_observation = SensingSession::from_sensor(sensor());
+        // The analytic backend decides from the observation's shared
+        // software spectra; it must reproduce the raw-sample platform
+        // decision of `sense` bit for bit, with the same accounting.
+        let mut via_samples = sensor();
+        let mut via_observation = sensor();
         assert!(via_observation.shares_software_spectra());
         let n = via_samples.samples_per_decision();
         for trial in 0..3u64 {
             let samples = observation(trial % 2 == 0, 3.0, n, 50 + trial);
-            let a = via_samples.decide(&samples).unwrap();
-            let b = SensingBackend::decide(
-                &mut via_observation,
-                &mut Observation::from_samples(samples),
-            )
-            .unwrap();
-            assert_eq!(b.verdict, a.decision);
+            let a = via_samples.sense(&samples).unwrap().outcome;
+            let b = decide(&mut via_observation, samples).unwrap();
+            assert_eq!(b.verdict, a.verdict);
             assert_eq!(b.statistic.to_bits(), a.statistic.to_bits());
             assert_eq!(b.threshold, a.threshold);
             assert_eq!(b.metrics, Some(via_observation.session_metrics()));
@@ -625,7 +428,7 @@ mod tests {
             SpectrumSensor::new(application.clone(), &Platform::paper(), 0.35, 1).unwrap();
         let mut golden = SpectrumSensor::new(
             application,
-            &Platform::paper().with_mode(tiled_soc::config::ExecutionMode::Lockstep),
+            &Platform::paper().with_mode(ExecutionMode::Lockstep),
             0.35,
             1,
         )
@@ -647,27 +450,23 @@ mod tests {
 
     #[test]
     fn session_survives_a_failed_batch() {
-        let mut session = SensingSession::from_sensor(sensor());
-        let n = session.samples_per_decision();
-        let short = observation(true, 5.0, 100, 3);
-        assert!(session.decide_batch(&[&short]).is_err());
-        let good = observation(true, 5.0, n, 3);
-        let batch = session.decide_batch(&[good.as_slice()]).unwrap();
-        assert_eq!(batch.outcomes.len(), 1);
-        assert_eq!(session.configurations(), 1);
+        let mut sensor = sensor();
+        let n = sensor.samples_per_decision();
+        assert!(decide(&mut sensor, observation(true, 5.0, 100, 3)).is_err());
+        assert!(decide(&mut sensor, observation(true, 5.0, n, 3)).is_ok());
+        assert_eq!(sensor.decisions(), 1);
+        assert_eq!(sensor.configurations(), 1);
     }
 
     #[test]
     fn analytic_backends_refuse_a_short_observation() {
         // Too few samples is a structured error, never a verdict — on the
-        // shared-DSCF path of both analytic SoC backends.
-        let mut short = Observation::from_samples(observation(true, 5.0, 100, 3));
+        // shared-DSCF path of the analytic SoC backend, which books
+        // nothing for it.
         let mut sensor = sensor();
         assert!(sensor.shares_software_spectra());
-        assert!(SensingBackend::decide(&mut sensor, &mut short).is_err());
-        let mut session = SensingSession::from_sensor(sensor);
-        assert!(SensingBackend::decide(&mut session, &mut short).is_err());
-        assert_eq!(session.decisions(), 0);
+        assert!(decide(&mut sensor, observation(true, 5.0, 100, 3)).is_err());
+        assert_eq!(sensor.decisions(), 0);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// assert_eq!(product, Cplx::new(5.0, 5.0));
 /// assert!((a.abs() - 5.0_f64.sqrt()).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Cplx {
     /// Real part.
     pub re: f64,
@@ -262,7 +262,7 @@ impl From<(f64, f64)> for Cplx {
 /// assert!((back.re - 0.375).abs() < 1e-3);
 /// assert!((back.im - 0.125).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CplxQ15 {
     /// Real part (Q15).
     pub re: Q15,

@@ -21,7 +21,7 @@ use crate::scf::{ScfEngine, ScfMatrix, ScfParams};
 use crate::signal::signal_power;
 
 /// The binary verdict of a detection decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verdict {
     /// The band is declared occupied by a licensed user.
     SignalPresent,
@@ -36,83 +36,6 @@ impl Verdict {
     }
 }
 
-/// The result of running a detector on one observation.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct DetectionOutcome {
-    /// The scalar test statistic that was compared against the threshold.
-    pub statistic: f64,
-    /// The threshold used.
-    pub threshold: f64,
-    /// The resulting decision.
-    pub decision: Verdict,
-}
-
-/// A recipe for building independent detector replicas.
-///
-/// Detectors are stateful objects (thresholds, calibration, and — for the
-/// platform-backed paths — whole simulated SoCs), so a single instance
-/// forces every decision through one `&mut` borrow and serialises
-/// Monte-Carlo sweeps. A factory is the shareable description from which
-/// each sweep lane builds its own replica; replicas built from the same
-/// factory must produce identical decisions for identical observations, so
-/// any partition of a trial set over replicas yields the same counts as a
-/// single detector run serially.
-pub trait DetectorFactory {
-    /// The detector type this factory builds.
-    type Built: Detector;
-
-    /// Builds one independent replica.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors of the underlying detector.
-    fn build_detector(&self) -> Result<Self::Built, DspError>;
-}
-
-/// Every cloneable detector is its own factory: a clone is a fully
-/// independent replica because the golden-model detectors carry only
-/// configuration, no per-observation state.
-impl<D: Detector + Clone> DetectorFactory for D {
-    type Built = D;
-
-    fn build_detector(&self) -> Result<D, DspError> {
-        Ok(self.clone())
-    }
-}
-
-/// Trait implemented by spectrum-sensing detectors.
-pub trait Detector {
-    /// Computes the detector's scalar test statistic for an observation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`DspError`] if the observation is too short or otherwise
-    /// unusable for this detector.
-    fn statistic(&self, samples: &[Cplx]) -> Result<f64, DspError>;
-
-    /// The decision threshold.
-    fn threshold(&self) -> f64;
-
-    /// Runs the full detection: statistic, comparison, decision.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`Detector::statistic`].
-    fn detect(&self, samples: &[Cplx]) -> Result<DetectionOutcome, DspError> {
-        let statistic = self.statistic(samples)?;
-        let threshold = self.threshold();
-        Ok(DetectionOutcome {
-            statistic,
-            threshold,
-            decision: if statistic > threshold {
-                Verdict::SignalPresent
-            } else {
-                Verdict::NoiseOnly
-            },
-        })
-    }
-}
-
 /// Baseline energy detector.
 ///
 /// The statistic is the average received power normalised by the assumed
@@ -123,17 +46,17 @@ pub trait Detector {
 /// # Examples
 ///
 /// ```
-/// use cfd_dsp::detector::{Detector, EnergyDetector};
+/// use cfd_dsp::detector::EnergyDetector;
 /// use cfd_dsp::signal::SignalBuilder;
 ///
 /// # fn main() -> Result<(), cfd_dsp::error::DspError> {
 /// let detector = EnergyDetector::new(1.0, 0.01, 4096)?;
 /// let busy = SignalBuilder::new(4096).snr_db(3.0).seed(1).build()?;
-/// assert!(detector.detect(&busy.samples)?.decision.is_signal());
+/// assert!(detector.statistic(&busy.samples)? > detector.threshold());
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyDetector {
     noise_power: f64,
     threshold: f64,
@@ -210,9 +133,12 @@ impl EnergyDetector {
     pub fn calibrated_samples(&self) -> usize {
         self.num_samples
     }
-}
 
-impl Detector for EnergyDetector {
+    /// The decision threshold on the normalised power statistic.
+    pub fn threshold(&self) -> f64 {
+        self.threshold
+    }
+
     /// The average power over the noise power.
     ///
     /// # Errors
@@ -224,7 +150,7 @@ impl Detector for EnergyDetector {
     ///
     /// A non-finite statistic is never turned into a verdict: NaN would
     /// read as "band vacant".
-    fn statistic(&self, samples: &[Cplx]) -> Result<f64, DspError> {
+    pub fn statistic(&self, samples: &[Cplx]) -> Result<f64, DspError> {
         if samples.is_empty() {
             return Err(DspError::InsufficientSamples {
                 needed: 1,
@@ -242,10 +168,6 @@ impl Detector for EnergyDetector {
             });
         }
         Ok(statistic)
-    }
-
-    fn threshold(&self) -> f64 {
-        self.threshold
     }
 }
 
@@ -265,7 +187,7 @@ impl Detector for EnergyDetector {
 /// The detector owns an [`ScfEngine`]: the FFT plan, window coefficients and
 /// DSCF index tables are built once at construction and reused by every
 /// decision (the engine is bit-identical to the eq.-3 golden model).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CyclostationaryDetector {
     engine: ScfEngine,
     threshold: f64,
@@ -330,12 +252,6 @@ impl CyclostationaryDetector {
         feature_statistic(scf, self.guard_offsets)
     }
 
-    /// Runs the decision on an already-computed DSCF matrix.
-    pub fn detect_from_scf(&self, scf: &ScfMatrix) -> DetectionOutcome {
-        let statistic = self.statistic_from_scf(scf);
-        self.outcome(statistic)
-    }
-
     /// Computes the normalised feature statistic from an already-computed
     /// cyclic-domain profile ([`ScfMatrix::cyclic_profile`] layout). The
     /// statistic depends on the DSCF only through its profile, so this is
@@ -345,59 +261,28 @@ impl CyclostationaryDetector {
         feature_statistic_from_profile(profile, self.guard_offsets)
     }
 
-    /// Runs the decision on an already-computed cyclic-domain profile —
-    /// the streaming fast path, which never materialises the full matrix.
-    pub fn detect_from_profile(&self, profile: &[f64]) -> DetectionOutcome {
-        let statistic = self.statistic_from_profile(profile);
-        self.outcome(statistic)
+    /// The decision threshold on the normalised feature statistic.
+    pub fn threshold(&self) -> f64 {
+        self.threshold
     }
 
-    /// Runs the decision on precomputed block spectra (eq. 2), e.g. the
-    /// shared spectra a sweep engine computed once per trial. The profile
-    /// is folded straight off the accumulation
+    /// The feature statistic of raw samples: block spectra, then the
+    /// profile folded straight off the accumulation
     /// ([`ScfEngine::cyclic_profile_from_spectra_into`]), so no matrix is
-    /// written; decisions are bit-identical to
-    /// [`CyclostationaryDetector::detect_from_scf`] on the engine's (and
+    /// written. Bit-identical to
+    /// [`CyclostationaryDetector::statistic_from_scf`] on the engine's (and
     /// the golden model's) matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any block is shorter than `params().fft_len`.
-    pub fn detect_from_spectra(&self, spectra: &[Vec<Cplx>]) -> DetectionOutcome {
-        let mut profile = Vec::new();
-        self.engine
-            .cyclic_profile_from_spectra_into(spectra, &mut profile);
-        self.detect_from_profile(&profile)
-    }
-
-    fn outcome(&self, statistic: f64) -> DetectionOutcome {
-        DetectionOutcome {
-            statistic,
-            threshold: self.threshold,
-            decision: if statistic > self.threshold {
-                Verdict::SignalPresent
-            } else {
-                Verdict::NoiseOnly
-            },
-        }
-    }
-}
-
-impl Detector for CyclostationaryDetector {
-    /// Spectra, then the profile-first DSCF
-    /// ([`CyclostationaryDetector::detect_from_spectra`]).
     ///
     /// # Errors
     ///
-    /// As [`ScfEngine::compute_spectra_into`]: too few samples, or a NaN
-    /// or infinite sample.
-    fn statistic(&self, samples: &[Cplx]) -> Result<f64, DspError> {
+    /// As [`ScfEngine::compute_spectra_into`]: too few samples, a NaN or
+    /// infinite sample, or a spectrum whose DSCF would overflow.
+    pub fn statistic(&self, samples: &[Cplx]) -> Result<f64, DspError> {
         let spectra = self.engine.compute_spectra(samples)?;
-        Ok(self.detect_from_spectra(&spectra).statistic)
-    }
-
-    fn threshold(&self) -> f64 {
-        self.threshold
+        let mut profile = Vec::new();
+        self.engine
+            .cyclic_profile_from_spectra_into(&spectra, &mut profile);
+        Ok(self.statistic_from_profile(&profile))
     }
 }
 
@@ -510,9 +395,9 @@ mod tests {
         let d = EnergyDetector::new(1.0, 0.01, 4096).unwrap();
         let busy = busy_observation(5.0, 4096, 1);
         let idle = idle_observation(4096, 2);
-        assert!(d.detect(&busy).unwrap().decision.is_signal());
-        assert!(!d.detect(&idle).unwrap().decision.is_signal());
-        assert!(d.detect(&[]).is_err());
+        assert!(d.statistic(&busy).unwrap() > d.threshold());
+        assert!(d.statistic(&idle).unwrap() <= d.threshold());
+        assert!(d.statistic(&[]).is_err());
     }
 
     #[test]
@@ -522,7 +407,7 @@ mod tests {
             let mut samples = idle_observation(64, 3);
             samples[9].re = bad;
             assert_eq!(
-                d.detect(&samples),
+                d.statistic(&samples),
                 Err(DspError::NonFiniteSample { index: 9 })
             );
         }
@@ -545,7 +430,7 @@ mod tests {
         let mut false_alarms = 0;
         for seed in 0..trials {
             let idle = idle_observation(n, 1000 + seed);
-            if d.detect(&idle).unwrap().decision.is_signal() {
+            if d.statistic(&idle).unwrap() > d.threshold() {
                 false_alarms += 1;
             }
         }
@@ -570,19 +455,13 @@ mod tests {
         let d = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
         let busy = busy_observation(5.0, params.samples_needed(), 3);
         let idle = idle_observation(params.samples_needed(), 4);
-        let busy_out = d.detect(&busy).unwrap();
-        let idle_out = d.detect(&idle).unwrap();
+        let busy_statistic = d.statistic(&busy).unwrap();
+        let idle_statistic = d.statistic(&idle).unwrap();
+        assert!(busy_statistic > d.threshold(), "statistic {busy_statistic}");
         assert!(
-            busy_out.decision.is_signal(),
-            "statistic {}",
-            busy_out.statistic
+            idle_statistic <= d.threshold(),
+            "statistic {idle_statistic}"
         );
-        assert!(
-            !idle_out.decision.is_signal(),
-            "statistic {}",
-            idle_out.statistic
-        );
-        assert!(busy_out.statistic > idle_out.statistic);
     }
 
     #[test]
@@ -602,29 +481,28 @@ mod tests {
         let d = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
         let busy = busy_observation(3.0, params.samples_needed(), 6);
         let scf = dscf_reference(&busy, &params).unwrap();
-        let from_scf = d.detect_from_scf(&scf);
-        let from_samples = d.detect(&busy).unwrap();
-        assert_eq!(from_scf, from_samples);
+        assert_eq!(
+            d.statistic_from_scf(&scf).to_bits(),
+            d.statistic(&busy).unwrap().to_bits()
+        );
     }
 
     #[test]
     fn detect_from_spectra_matches_detect_from_samples() {
         let params = ScfParams::new(32, 7, 32).unwrap();
         let d = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
+        let mut profile = Vec::new();
         for seed in [7u64, 8, 9] {
             let busy = busy_observation(0.0, params.samples_needed(), seed);
             let spectra = d.engine().compute_spectra(&busy).unwrap();
-            let from_samples = d.detect(&busy).unwrap();
-            assert_eq!(d.detect_from_spectra(&spectra), from_samples);
-            // The profile-first path never writes a matrix, yet decides
-            // bit for bit like a scan of the golden model's matrix.
+            d.engine()
+                .cyclic_profile_from_spectra_into(&spectra, &mut profile);
+            let from_samples = d.statistic(&busy).unwrap().to_bits();
+            assert_eq!(d.statistic_from_profile(&profile).to_bits(), from_samples);
+            // The profile-first path never writes a matrix, yet matches a
+            // scan of the golden model's matrix bit for bit.
             let reference = dscf_reference(&busy, &params).unwrap();
-            let from_scf = d.detect_from_scf(&reference);
-            assert_eq!(
-                from_scf.statistic.to_bits(),
-                from_samples.statistic.to_bits()
-            );
-            assert_eq!(from_scf, from_samples);
+            assert_eq!(d.statistic_from_scf(&reference).to_bits(), from_samples);
         }
     }
 
@@ -632,24 +510,5 @@ mod tests {
     fn decision_helpers() {
         assert!(Verdict::SignalPresent.is_signal());
         assert!(!Verdict::NoiseOnly.is_signal());
-    }
-
-    #[test]
-    fn cloneable_detectors_are_their_own_factories() {
-        let params = ScfParams::new(32, 7, 32).unwrap();
-        let cfd = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
-        let energy = EnergyDetector::new(1.0, 0.05, params.samples_needed()).unwrap();
-        let busy = busy_observation(3.0, params.samples_needed(), 5);
-        // Replicas decide identically to the factory instance.
-        let cfd_replica = cfd.build_detector().unwrap();
-        let energy_replica = energy.build_detector().unwrap();
-        assert_eq!(
-            cfd.detect(&busy).unwrap(),
-            cfd_replica.detect(&busy).unwrap()
-        );
-        assert_eq!(
-            energy.detect(&busy).unwrap(),
-            energy_replica.detect(&busy).unwrap()
-        );
     }
 }

@@ -30,7 +30,7 @@ use std::rc::Rc;
 use std::sync::OnceLock;
 
 /// Cached handle to the `dsp.fft.forward_ns` stage histogram. The plan
-/// itself stays handle-free (it is `Clone + serde`-derived); a process-wide
+/// itself stays handle-free (it is `Clone`); a process-wide
 /// `OnceLock` keeps the per-call cost to one pointer load once telemetry
 /// has been enabled, and [`cfd_telemetry::span`]-style gating keeps it to
 /// one atomic load while it is not.
@@ -113,7 +113,7 @@ pub fn bit_reverse_permute(data: &mut [Cplx]) {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FftPlan {
     len: usize,
     /// Bit-reversal target of every index (`permutation[i] = reverse(i)`).

@@ -31,19 +31,7 @@ pub const Q15_SCALE: f64 = 32768.0;
 /// let p = half.saturating_mul(quarter);
 /// assert!((p.to_f64() - 0.125).abs() < 1e-4);
 /// ```
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Q15(i16);
 
 impl Q15 {

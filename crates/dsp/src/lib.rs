@@ -11,7 +11,9 @@
 //! * the Discrete Spectral Correlation Function of eq. 3 and its golden-model
 //!   evaluation ([`scf`]),
 //! * the energy-detector baseline and the cyclostationary feature detector
-//!   ([`detector`]), and Monte-Carlo detection metrics ([`metrics`]).
+//!   ([`detector`]): each computes a statistic; `cfd-core`'s
+//!   `SensingBackend::decide` turns it into a verdict, and
+//!   `cfd-scenario`'s sweeps estimate Pd/Pfa from those verdicts.
 //!
 //! Everything downstream — the array-processor mapping (`cfd-mapping`), the
 //! Montium tile simulator (`montium-sim`), the tiled SoC (`tiled-soc`) and
@@ -36,8 +38,7 @@
 //! // Evaluate the DSCF (eq. 3) and look for cyclic features.
 //! let scf = dscf_reference(&observation.samples, &params)?;
 //! let detector = CyclostationaryDetector::new(params, 0.35, 1)?;
-//! let outcome = detector.detect_from_scf(&scf);
-//! assert!(outcome.decision.is_signal());
+//! assert!(detector.statistic_from_scf(&scf) > detector.threshold());
 //! # Ok(())
 //! # }
 //! ```
@@ -51,7 +52,6 @@ pub mod error;
 pub mod fft;
 pub mod fixed;
 pub mod lanes;
-pub mod metrics;
 pub mod scf;
 pub mod signal;
 pub mod window;
@@ -59,14 +59,10 @@ pub mod window;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::complex::{Cplx, CplxQ15};
-    pub use crate::detector::{
-        CyclostationaryDetector, DetectionOutcome, Detector, DetectorFactory, EnergyDetector,
-        Verdict,
-    };
+    pub use crate::detector::{CyclostationaryDetector, EnergyDetector, Verdict};
     pub use crate::error::DspError;
     pub use crate::fft::{fft, fft_in_place, ifft, ifft_in_place, FftPlan};
     pub use crate::fixed::Q15;
-    pub use crate::metrics::{OperatingPoint, RocCurve, Scenario};
     pub use crate::scf::{dscf_from_spectra, dscf_reference, ScfEngine, ScfMatrix, ScfParams};
     pub use crate::signal::{
         awgn, complex_tone, frequency_shift, modulated_signal, ModulatedSignalSpec, Observation,

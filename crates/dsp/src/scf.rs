@@ -27,8 +27,7 @@ use std::fmt;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Cached handles to the DSCF stage histograms ([`ScfEngine`] is
-/// `Clone + serde`-derived, so the handles live at module scope rather
-/// than as fields).
+/// `Clone`, so the handles live at module scope rather than as fields).
 fn spectra_ns() -> &'static cfd_telemetry::Histogram {
     static SPECTRA_NS: OnceLock<cfd_telemetry::Histogram> = OnceLock::new();
     SPECTRA_NS.get_or_init(|| cfd_telemetry::histogram("dsp.scf.spectra_ns"))
@@ -60,7 +59,7 @@ fn segment_runs() -> &'static cfd_telemetry::Counter {
 /// assert_eq!(params.grid_size(), 127);
 /// assert_eq!(params.total_multiplications(), 127 * 127);
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScfParams {
     /// FFT length `K` (one block of samples).
     pub fft_len: usize,
@@ -203,7 +202,7 @@ impl ScfParams {
 ///
 /// Rows are indexed by the frequency `f ∈ -M..=M`, columns by the offset
 /// `a ∈ -M..=M`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScfMatrix {
     max_offset: usize,
     values: Vec<Cplx>,
@@ -913,6 +912,29 @@ fn finish_profile(profile: &mut [f64], m: usize) {
 /// spectra to the detector statistic can overflow.
 const SPECTRUM_BOUND: f64 = 5.789_604_461_865_81e76;
 
+/// Checks block `block`'s spectrum against the largest bin magnitude for
+/// which the DSCF and its cyclic profile stay finite: every bin's real and
+/// imaginary part must be at most 2²⁵⁵ in magnitude. Every path that
+/// integrates block spectra it computed from raw samples runs this check
+/// ([`ScfEngine::compute_spectra_into`], and the tiled SoC's raw-sample
+/// runs), because finite but huge input would otherwise integrate into a
+/// NaN or zero statistic that reads as "band vacant".
+///
+/// # Errors
+///
+/// [`DspError::SpectrumOverflow`] naming `block` and the first bin out of
+/// range (a NaN bin is out of range too).
+pub fn check_spectrum_bound(spectrum: &[Cplx], block: usize) -> Result<(), DspError> {
+    // Branch-free over the block so the scan vectorises; the comparison is
+    // false for a NaN bin too.
+    let in_range = |x: &Cplx| (x.re.abs() <= SPECTRUM_BOUND) & (x.im.abs() <= SPECTRUM_BOUND);
+    if spectrum.iter().fold(true, |ok, x| ok & in_range(x)) {
+        return Ok(());
+    }
+    let bin = spectrum.iter().position(|x| !in_range(x)).unwrap_or(0);
+    Err(DspError::SpectrumOverflow { block, bin })
+}
+
 /// Grids narrower than this accumulate on the caller alone; wider ones
 /// spread their row bands over every lane ([`crate::lanes::fan_out`]).
 /// Measured on a 2-core Xeon (AVX-512, rustc 1.95.0), 8-block profile
@@ -1437,7 +1459,7 @@ impl ScfAccumulator {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScfEngine {
     params: ScfParams,
     plan: FftPlan,
@@ -1537,7 +1559,8 @@ impl ScfEngine {
     /// reads as "band vacant". Each sample is checked once, however much
     /// the blocks overlap. The finished spectra are then checked against
     /// the largest bin magnitude for which the DSCF and its cyclic profile
-    /// stay finite, because finite but huge input overflows the same way.
+    /// stay finite ([`check_spectrum_bound`]), because finite but huge
+    /// input overflows the same way.
     ///
     /// # Errors
     ///
@@ -1585,14 +1608,7 @@ impl ScfEngine {
             )?;
         }
         for (n, block) in out.iter().enumerate() {
-            // Branch-free over the block so the scan vectorises; the
-            // comparison is false for a NaN bin too.
-            let in_range =
-                |x: &Cplx| (x.re.abs() <= SPECTRUM_BOUND) & (x.im.abs() <= SPECTRUM_BOUND);
-            if !block.iter().fold(true, |ok, x| ok & in_range(x)) {
-                let bin = block.iter().position(|x| !in_range(x)).unwrap_or(0);
-                return Err(DspError::SpectrumOverflow { block: n, bin });
-            }
+            check_spectrum_bound(block, n)?;
         }
         Ok(())
     }

@@ -46,7 +46,7 @@ pub fn real_carrier(len: usize, frequency: f64, sample_rate: f64, phase: f64) ->
 }
 
 /// Digital modulation formats for the licensed-user signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SymbolModulation {
     /// Binary phase-shift keying: symbols in `{+1, -1}`.
     Bpsk,
@@ -89,7 +89,7 @@ impl SymbolModulation {
 /// with independent random symbols `c[·]`. The rectangular symbol pulse makes
 /// the signal cyclostationary with cycle frequency `fs / symbol_len` (and its
 /// harmonics).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModulatedSignalSpec {
     /// Modulation format.
     pub modulation: SymbolModulation,

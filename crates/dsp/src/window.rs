@@ -19,9 +19,7 @@ use std::fmt;
 /// assert!(w[0] < 1e-12);           // Hann starts at zero
 /// assert!((w[4] - 1.0).abs() < 0.21); // and peaks near the middle
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Window {
     /// All-ones window (the paper's implicit choice).
     #[default]

@@ -15,7 +15,7 @@ use std::fmt;
 
 /// A node of the DSCF dependence graph: the multiply–accumulate for
 /// frequency `f`, offset `a`, integration step `n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DgNode {
     /// Spectral frequency index `f`.
     pub f: i32,
@@ -56,7 +56,7 @@ impl fmt::Display for DgNode {
 
 /// A directed edge of the dependence graph, identified (as in the paper) by
 /// its source node and displacement vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DgEdge {
     /// Source node.
     pub from: DgNode,
@@ -87,7 +87,7 @@ impl DgEdge {
 /// The dependence graph of a DSCF evaluation: all `(f, a, n)` nodes with
 /// `|f|, |a| ≤ max_offset` and `n < num_blocks`, plus the accumulation edges
 /// between consecutive `n` planes.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DependenceGraph {
     max_offset: usize,
     num_blocks: usize,
@@ -170,7 +170,7 @@ impl DependenceGraph {
 
 /// One multiplication of Fig. 1: the `(f, a)` node of a single plane together
 /// with the spectral indices of its two operands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fig1Entry {
     /// Frequency `f` (the row of Fig. 1).
     pub f: i32,

@@ -17,10 +17,9 @@
 use crate::error::MappingError;
 use cfd_dsp::complex::Cplx;
 use cfd_dsp::scf::{centred_bin, ScfMatrix};
-use serde::{Deserialize, Serialize};
 
 /// The task-to-core assignment of eqs. 8–9.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Folding {
     /// Number of tasks of the initial (unfolded) array, `P = 2M+1`.
     pub initial_processors: usize,
@@ -117,7 +116,7 @@ impl Folding {
 /// The switch schedule of Fig. 9: within one frequency step, the two
 /// synchronised switches select shift-register taps `0, 1, …, T-1` in turn,
 /// then the shift registers advance one position.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwitchSchedule {
     tasks_per_core: usize,
 }
@@ -150,7 +149,7 @@ impl SwitchSchedule {
 }
 
 /// Statistics of a functional run of the folded architecture.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FoldedRunStats {
     /// Complex multiply–accumulate operations per core (indexed by core).
     pub macs_per_core: Vec<usize>,

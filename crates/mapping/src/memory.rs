@@ -8,10 +8,9 @@
 
 use crate::error::MappingError;
 use crate::folding::Folding;
-use serde::{Deserialize, Serialize};
 
 /// The per-core memory requirement of a folded DSCF computation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryRequirement {
     /// Tasks per core, `T`.
     pub tasks_per_core: usize,
@@ -80,7 +79,7 @@ impl MemoryRequirement {
 /// The communication (shift-register) storage per core: `T` complex values
 /// per flow, i.e. one Montium memory (M09 or M10) per flow with `T` complex
 /// entries (Section 4.1: "Each memory contains 32 complex values").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShiftRegisterRequirement {
     /// Tasks per core, `T`.
     pub tasks_per_core: usize,

@@ -16,7 +16,7 @@ use cfd_dsp::complex::Cplx;
 
 /// The Fig. 3 processing element: complex multiplier plus integrator
 /// (adder + register) for one `(f, a)` point.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RegisterPe {
     accumulator: Cplx,
     steps: usize,
@@ -70,7 +70,7 @@ impl RegisterPe {
 /// frequencies of a single offset `a`, with a memory of `F` accumulators
 /// selected by the frequency index (which equals the time step after the
 /// `P2`/`s2` mapping).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryPe {
     memory: Vec<Cplx>,
     steps_per_slot: Vec<usize>,

@@ -13,11 +13,10 @@
 //! advances one processor per clock from `a = -M` to `a = +M`, the direct
 //! flow advances in the opposite direction.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which of the two operand flows a diagram describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Flow {
     /// The conjugated values `X*_{n,v}` (dotted lines in Fig. 1), travelling
     /// from processor `-M` towards `+M`.
@@ -50,7 +49,7 @@ impl fmt::Display for Flow {
 /// One entry of the space–time-delay diagram: spectral value `value_index`
 /// is consumed by `processor` after a delay of `delay` clock cycles relative
 /// to its first use in the array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpaceTimeEntry {
     /// Spectral index `v` of the value (`X_{n,v}` or `X*_{n,v}`).
     pub value_index: i32,
@@ -62,7 +61,7 @@ pub struct SpaceTimeEntry {
 
 /// The space–time-delay diagram for one flow over a processor array of
 /// half-width `M` (Fig. 5 shows the conjugate flow for `M = 3`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpaceTimeDiagram {
     flow: Flow,
     max_offset: usize,

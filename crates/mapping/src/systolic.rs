@@ -18,11 +18,10 @@
 use crate::pe::MemoryPe;
 use cfd_dsp::complex::Cplx;
 use cfd_dsp::scf::{centred_bin, ScfMatrix};
-use serde::{Deserialize, Serialize};
 
 /// Structural summary of the systolic array — the content of Figs. 6/7 in
 /// numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystolicArchitecture {
     /// Array half-width `M`.
     pub max_offset: usize,
@@ -66,7 +65,7 @@ impl SystolicArchitecture {
 }
 
 /// Statistics of one functional run of the systolic array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SystolicRunStats {
     /// Complex multiply–accumulate operations executed.
     pub mac_operations: usize,

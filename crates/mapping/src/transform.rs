@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 /// A processor assignment plus schedule, applied with the paper's
 /// `v_new = P^T·v_old`, `t = s^T·v_old` convention.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpaceTimeMapping {
     assignment: IMat,
     schedule: IVec,
@@ -25,7 +25,7 @@ pub struct SpaceTimeMapping {
 
 /// The result of mapping a single DG node: its processor coordinates and
 /// execution time.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MappedNode {
     /// The original node.
     pub node: DgNode,
@@ -179,7 +179,7 @@ impl SpaceTimeMapping {
 /// working at time `f`. The full execution order used by the downstream
 /// simulators is therefore `(n, f)` lexicographic with processors indexed by
 /// `a`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CombinedAssignment {
     /// Processor index (= offset `a`).
     pub processor: i32,

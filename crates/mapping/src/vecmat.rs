@@ -11,7 +11,7 @@ use crate::error::MappingError;
 use std::fmt;
 
 /// A dense integer vector of small dimension (2 or 3 in this paper).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IVec {
     elements: Vec<i64>,
 }
@@ -97,7 +97,7 @@ impl From<Vec<i64>> for IVec {
 /// Matrices follow the paper's convention: an assignment matrix `P` with
 /// `rows = dim(node)` and `cols = dim(processor space)` maps a node `v` to
 /// `P^T · v` (see [`IMat::apply_transposed`]).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IMat {
     rows: usize,
     cols: usize,

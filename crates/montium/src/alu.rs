@@ -12,10 +12,9 @@
 
 use crate::config::MontiumConfig;
 use cfd_dsp::complex::Cplx;
-use serde::{Deserialize, Serialize};
 
 /// The operations the complex ALU supports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AluOp {
     /// `acc + a · conj(b)` — the DSCF primitive (multiply–accumulate with a
     /// conjugated second operand).
@@ -34,7 +33,7 @@ pub enum AluOp {
 }
 
 /// Execution statistics of an ALU instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AluStats {
     /// Operations executed, by rough class.
     pub multiplies: u64,

@@ -7,10 +7,8 @@
 //! sequenced DSCF kernel, 100 MHz maximum clock, ~2 mm² in 0.13 µm CMOS and
 //! ~500 µW/MHz typical power.
 
-use serde::{Deserialize, Serialize};
-
 /// Static configuration of one Montium tile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MontiumConfig {
     /// Number of parallel memories (M01..M10).
     pub num_memories: usize,

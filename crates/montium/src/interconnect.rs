@@ -7,11 +7,10 @@
 //! that a kernel declares before running — enough to check that a kernel's
 //! resource usage is realisable and to report it in the Fig. 11 style.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An endpoint of the interconnection network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Port {
     /// A memory bank (1-based, M01..M10).
     Memory(usize),
@@ -38,7 +37,7 @@ impl fmt::Display for Port {
 }
 
 /// A directed connection through the crossbar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Connection {
     /// Source port.
     pub from: Port,
@@ -53,7 +52,7 @@ impl fmt::Display for Connection {
 }
 
 /// A kernel's crossbar configuration.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InterconnectConfig {
     connections: Vec<Connection>,
 }

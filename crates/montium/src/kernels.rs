@@ -20,11 +20,10 @@ use crate::sequencer::Phase;
 use cfd_dsp::complex::Cplx;
 use cfd_dsp::scf::centred_bin;
 use cfd_mapping::folding::Folding;
-use serde::{Deserialize, Serialize};
 
 /// The parameters describing which slice of the folded DSCF one tile
 /// executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileTaskSet {
     /// Grid half-width `M` (frequencies and offsets span `-M..=M`).
     pub max_offset: usize,
@@ -135,7 +134,7 @@ impl TileTaskSet {
 }
 
 /// The cycle breakdown of one integration step on one tile (Table 1 shape).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IntegrationStepCycles {
     /// Multiply–accumulate cycles.
     pub multiply_accumulate: u64,

@@ -12,7 +12,6 @@
 use crate::config::MontiumConfig;
 use crate::error::MontiumError;
 use cfd_dsp::complex::Cplx;
-use serde::{Deserialize, Serialize};
 
 /// One of the ten memories of a Montium tile.
 #[derive(Debug, Clone, PartialEq)]
@@ -237,7 +236,7 @@ impl MemorySystem {
 /// Each Montium memory is accompanied by an AGU (\[3\]); the CFD kernel uses
 /// one to walk the `T` shift-register entries of M09/M10 every clock cycle
 /// and one to address the accumulator of the current `(task, frequency)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Agu {
     base: usize,
     stride: usize,

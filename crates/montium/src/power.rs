@@ -6,10 +6,9 @@
 //! platform).
 
 use crate::config::MontiumConfig;
-use serde::{Deserialize, Serialize};
 
 /// Area/power figures for one tile at a given clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TilePower {
     /// Clock frequency in MHz.
     pub clock_mhz: f64,

@@ -7,12 +7,11 @@
 //! [`Sequencer`] accumulates cycles attributed to each [`Phase`] and renders
 //! the Table-1-shaped breakdown.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The phases of the CFD kernel, matching the rows of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// The complex multiply–accumulate operations ("multiply accumulate").
     MultiplyAccumulate,
@@ -59,7 +58,7 @@ impl fmt::Display for Phase {
 
 /// The record of one kernel execution: which phase it belongs to and how
 /// many cycles it consumed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelRun {
     /// The phase the cycles are attributed to.
     pub phase: Phase,
@@ -68,7 +67,7 @@ pub struct KernelRun {
 }
 
 /// Accumulates cycles per phase.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Sequencer {
     per_phase: BTreeMap<Phase, u64>,
 }

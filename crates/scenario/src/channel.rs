@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One impairment in a channel pipeline.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChannelStage {
     /// Additive white Gaussian noise with a fixed noise floor.
     ///
@@ -457,7 +457,7 @@ impl ChannelStage {
 }
 
 /// An ordered list of channel stages.
-#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChannelPipeline {
     /// The stages, applied first-to-last.
     pub stages: Vec<ChannelStage>,

@@ -7,8 +7,8 @@
 //! golden-model
 //! [`CyclostationaryDetector`](cfd_dsp::detector::CyclostationaryDetector),
 //! the full tiled-SoC sensing path (a
-//! [`SessionRecipe`](cfd_core::backend::SessionRecipe) opening a
-//! `SensingSession` per lane), or any
+//! [`SessionRecipe`](cfd_core::backend::SessionRecipe) building a
+//! [`SpectrumSensor`](cfd_core::sensing::SpectrumSensor) per lane), or any
 //! user-defined backend — over a [`RadioScenario`] at each SNR of a sweep,
 //! and tabulates the detection probability `Pd` (decide "occupied" under
 //! H1) and false-alarm probability `Pfa` (decide "occupied" under H0) per
@@ -81,7 +81,7 @@ fn sweep_instruments() -> &'static SweepInstruments {
 }
 
 /// The SNR sweep a scenario is evaluated over.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SnrSweep {
     /// The SNR points in dB.
     pub snr_points_db: Vec<f64>,
@@ -141,7 +141,7 @@ impl SnrSweep {
 }
 
 /// One `(SNR, detector)` operating point of a sweep.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RocRow {
     /// SNR of the H1 trials in dB.
     pub snr_db: f64,
@@ -167,7 +167,7 @@ impl RocRow {
 }
 
 /// The Pd/Pfa table produced by [`SweepBuilder::run`].
-#[derive(Debug, Clone, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RocTable {
     /// One row per `(SNR point, detector)`.
     pub rows: Vec<RocRow>,
@@ -241,10 +241,7 @@ impl RocTable {
     /// artifact); detector labels — which are arbitrary strings now that
     /// third-party backends name themselves — are escaped per RFC 8259
     /// (quotes, backslashes, control characters) via
-    /// [`cfd_telemetry::json`]. The vendored `serde` is a marker-only
-    /// stand-in, so the encoding is done here; the derives keep the types
-    /// drop-in ready for the real `serde_json` once the build environment
-    /// gains network access.
+    /// [`cfd_telemetry::json`].
     pub fn to_json(&self) -> String {
         use cfd_telemetry::json::{escape, number};
         let rows: Vec<String> = self

@@ -23,9 +23,10 @@
 //!   [`SweepBuilder`], backends are described by
 //!   `cfd_core::backend::BackendRecipe`s, and the `(snr_point,
 //!   trial-chunk)` cells are the tasks of one `cfd_dsp::lanes` fan-out:
-//!   every lane builds its own replicas (the SoC path opens one
-//!   `SensingSession` per lane) — bit-identical at every lane count thanks
-//!   to common random numbers and per-cell counts merged in cell order;
+//!   every lane builds its own replicas (the SoC path builds one
+//!   `cfd_core::SpectrumSensor` per lane) — bit-identical at every lane
+//!   count thanks to common random numbers and per-cell counts merged in
+//!   cell order. This is the crate's one Monte-Carlo harness;
 //! * [`cooperative`] — cooperative sensing against a *live* primary user:
 //!   [`CooperativeSweep`] drives any backend (including a whole
 //!   `cfd_core::fusion::FusionCenter` fleet) along a Markov on/off

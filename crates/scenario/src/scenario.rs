@@ -14,7 +14,7 @@ use crate::signal::SignalModel;
 use cfd_dsp::complex::Cplx;
 
 /// Which hypothesis an observation is drawn under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Hypothesis {
     /// H0: the band is vacant; the observation is channel noise only.
     Vacant,
@@ -36,7 +36,7 @@ pub struct ScenarioObservation {
 }
 
 /// A named, fully specified sensing workload.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RadioScenario {
     /// Human-readable preset name.
     pub name: String,

@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// A model of what the licensed user transmits.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SignalModel {
     /// Nothing is transmitted (hypothesis H0); the observation is whatever
     /// the channel adds.

@@ -2,10 +2,9 @@
 //! Processing Fabric").
 
 use montium_sim::MontiumConfig;
-use serde::{Deserialize, Serialize};
 
 /// How the SoC simulation executes its tiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecutionMode {
     /// All tiles advance one frequency step at a time in a single thread
     /// (deterministic; the cycle-accurate golden reference).
@@ -24,7 +23,7 @@ pub enum ExecutionMode {
 }
 
 /// Configuration of the whole platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocConfig {
     /// Number of Montium tiles (the AAF platform has 4).
     pub num_tiles: usize,

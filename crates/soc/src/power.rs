@@ -7,10 +7,9 @@
 //! with the number of Montium processors.
 
 use crate::config::SocConfig;
-use serde::{Deserialize, Serialize};
 
 /// Area/power/throughput roll-up for one platform configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformMetrics {
     /// Number of tiles.
     pub num_tiles: usize,

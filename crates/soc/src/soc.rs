@@ -35,10 +35,9 @@ use crate::power::PlatformMetrics;
 use crate::tile::{Tile, TileCycleBreakdown};
 use cfd_dsp::complex::Cplx;
 use cfd_dsp::error::DspError;
-use cfd_dsp::scf::{ScfEngine, ScfMatrix, ScfParams};
+use cfd_dsp::scf::{check_spectrum_bound, ScfEngine, ScfMatrix, ScfParams};
 use cfd_mapping::folding::Folding;
 use montium_sim::kernels::{analytic_step_cycles, IntegrationStepCycles, TileTaskSet};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Cached handles to the SoC run instruments: stage histograms for the
@@ -69,7 +68,7 @@ fn instruments() -> &'static SocInstruments {
 }
 
 /// The result of running one or more integration steps on the platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocRun {
     /// The accumulated DSCF over all processed blocks.
     pub scf: ScfMatrix,
@@ -236,10 +235,16 @@ impl TiledSoc {
     /// from the [`ScfEngine`] and the counters from the closed-form cost
     /// model; the result is the same `SocRun` the lockstep mode produces.
     ///
+    /// Every block spectrum, whether the engine or the tiles computed it,
+    /// is checked against the bound beyond which the DSCF would overflow
+    /// ([`check_spectrum_bound`]), in both modes.
+    ///
     /// # Errors
     ///
-    /// * [`SocError::Dsp`] if the signal is too short or one of the
-    ///   samples the blocks cover is NaN or infinite,
+    /// * [`SocError::Dsp`] if the signal is too short, one of the samples
+    ///   the blocks cover is NaN or infinite, or a block spectrum exceeds
+    ///   the overflow bound (the accumulation then holds a partial run:
+    ///   [`TiledSoc::reset`] before the next one),
     /// * [`SocError::ExecutionFailure`] when switching execution paths
     ///   without a [`TiledSoc::reset`],
     /// * tile and execution errors otherwise.
@@ -289,11 +294,12 @@ impl TiledSoc {
                 let slot = self.next_spectrum_slot();
                 self.engine
                     .block_spectrum_into(signal, block * k, &mut self.spectra[slot])?;
+                check_spectrum_bound(&self.spectra[slot], block)?;
             }
         } else {
             self.tiles_dirty = true;
-            for block in signal.chunks_exact(k).take(num_blocks) {
-                self.run_block_lockstep(block)?;
+            for (index, block) in signal.chunks_exact(k).take(num_blocks).enumerate() {
+                self.run_block_lockstep(index, block)?;
             }
         }
         self.fill_run(num_blocks, out)?;
@@ -488,12 +494,15 @@ impl TiledSoc {
         Ok(())
     }
 
-    fn run_block_lockstep(&mut self, samples: &[Cplx]) -> Result<(), SocError> {
+    /// Simulates block `index` of a run; every tile computes the same
+    /// block spectrum, so the overflow bound is checked on the first one.
+    fn run_block_lockstep(&mut self, index: usize, samples: &[Cplx]) -> Result<(), SocError> {
         let q_count = self.tiles.len();
         let f_count = 2 * self.max_offset + 1;
         for tile in &mut self.tiles {
             tile.begin_block(samples)?;
         }
+        check_spectrum_bound(self.tiles[0].spectrum(), index)?;
         // One FIFO per internal boundary and flow; they carry exactly one
         // word per frequency step.
         let boundaries = q_count - 1;

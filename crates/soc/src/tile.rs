@@ -7,10 +7,9 @@ use cfd_dsp::scf::centred_bin;
 use montium_sim::kernels::{configure_tile, TileTaskSet};
 use montium_sim::sequencer::Phase;
 use montium_sim::{MontiumConfig, MontiumCore};
-use serde::{Deserialize, Serialize};
 
 /// The Table-1-shaped cycle breakdown of one tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileCycleBreakdown {
     /// Tile index.
     pub tile: usize,
@@ -117,6 +116,12 @@ impl Tile {
             .load_shift_registers(&conj_window, &direct_window)
             .map_err(|e| tile_error(self.index, e))?;
         Ok(())
+    }
+
+    /// The spectrum of the current block, as [`Tile::begin_block`]
+    /// computed it on the tile's ALU.
+    pub(crate) fn spectrum(&self) -> &[Cplx] {
+        &self.spectrum
     }
 
     /// Executes the `T` multiply–accumulates of frequency step `step`.

@@ -2,11 +2,10 @@
 //!
 //! The workspace's JSON *emitters* (`RocTable::to_json`,
 //! [`MetricsSnapshot::to_json`](crate::MetricsSnapshot::to_json)) encode by
-//! hand because the vendored `serde` is a marker-only stand-in; the
-//! perf-regression gate additionally needs to *read* the previous run's
-//! artefacts back. This module is the matching reader: a strict recursive
-//! descent parser over the RFC 8259 grammar, plus the two encoding helpers
-//! ([`escape`], [`number`]) the emitters share.
+//! hand; the perf-regression gate additionally needs to *read* the previous
+//! run's artefacts back. This module is the matching reader: a strict
+//! recursive descent parser over the RFC 8259 grammar, plus the two encoding
+//! helpers ([`escape`], [`number`]) the emitters share.
 //!
 //! Scope: everything the workspace's own documents use — objects, arrays,
 //! strings (with `\uXXXX` escapes), `f64` numbers, booleans, `null`.

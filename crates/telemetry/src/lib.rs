@@ -613,8 +613,7 @@ impl MetricsSnapshot {
     ///
     /// Names are escaped per RFC 8259; maps are name-sorted, so two
     /// snapshots of the same state serialise identically (the determinism
-    /// the regression gate diffs rely on). Encoding is done by hand — the
-    /// vendored `serde` is a marker-only stand-in.
+    /// the regression gate diffs rely on). Encoding is done by hand.
     pub fn to_json(&self) -> String {
         let counters: Vec<String> = self
             .counters

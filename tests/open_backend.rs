@@ -15,7 +15,7 @@ mod common;
 
 use cfd_core::backend::{BackendRecipe, Decision, Observation, SensingBackend};
 use cfd_core::error::CfdError;
-use cfd_dsp::detector::{CyclostationaryDetector, Detector, EnergyDetector};
+use cfd_dsp::detector::{CyclostationaryDetector, EnergyDetector};
 use cfd_dsp::scf::{ScfEngine, ScfParams};
 use cfd_scenario::prelude::*;
 
@@ -71,12 +71,12 @@ impl SensingBackend for VotingBackend {
 
     fn decide(&mut self, observation: &mut Observation) -> Result<Decision, CfdError> {
         self.decisions_taken += 1;
-        let energy = self.energy.detect(observation.samples())?;
+        let energy = self.energy.decide(observation)?;
         let cfd_scf = observation.scf_for(self.cfd.engine())?;
-        let cfd = self.cfd.detect_from_scf(cfd_scf);
         // Report the CFD statistic/threshold, but fire if either does.
-        let mut decision = Decision::from_outcome(cfd);
-        if energy.decision.is_signal() {
+        let mut decision =
+            Decision::new(self.cfd.statistic_from_scf(cfd_scf), self.cfd.threshold());
+        if energy.is_signal() {
             decision.verdict = cfd_dsp::detector::Verdict::SignalPresent;
         }
         Ok(decision)
