@@ -19,8 +19,14 @@
 //!   [`Backpressure::Block`] stalls the producer until the worker drains
 //!   (never loses a hop), [`Backpressure::DropOldest`] sheds the oldest
 //!   queued hop and counts it in `service.drops`. The bounded queue
-//!   (capacity, drop-oldest, buffer recycling) is a `Mutex` + `Condvar`
-//!   MPMC queue implemented here.
+//!   (capacity, drop-oldest, buffer recycling) is a `Mutex`-guarded MPSC
+//!   queue implemented here: producers park on a `Condvar` while it is
+//!   full, and the worker waits for hops on a [`lanes::Signal`] — it polls
+//!   for up to 500 µs before parking, and a push wakes it only when it
+//!   has parked. A worker polls only while the scheduler's workers leave
+//!   a core of the host free (`workers < lanes::host_cores()`, which
+//!   honours CPU affinity); otherwise it parks at once. Each park counts
+//!   in `service.worker_parks`.
 //! * Channels are **sharded across workers by a stable hash** of the
 //!   channel id ([`shard_for`]), so a channel's sensor state never
 //!   migrates and the hot path takes no lock beyond its own shard queue.
@@ -38,7 +44,8 @@
 //!   channel's ~O(grid) sensor state back into cache; coalescing pays
 //!   that cold reload once per batch instead of once per hop, which is
 //!   where the scheduler's throughput win over per-decision recompute
-//!   comes from. The batch drain also amortises lock/condvar traffic.
+//!   comes from. The batch drain also takes the queue lock, and wakes a
+//!   blocked producer, once per batch rather than once per hop.
 //!
 //! Because hops of one channel are processed in arrival order by one
 //! pinned worker — the coalescing sort is stable, so reordering only
@@ -97,10 +104,11 @@ use crate::backend::{BackendRecipe, Decision, SensingBackend};
 use crate::error::CfdError;
 use crate::stream::{StreamingConfig, StreamingSensor};
 use cfd_dsp::complex::Cplx;
+use cfd_dsp::lanes;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 /// Stable identifier of one band subscription.
@@ -108,14 +116,16 @@ pub type ChannelId = u64;
 
 /// The `service.*` instruments: per-stage histograms (hop processing,
 /// worker queue wait — recorded only when timing is enabled), throughput
-/// counters (hops, decisions, drops — always live) and occupancy gauges
-/// (subscribed channels, workers, parked channels, queued hops).
+/// counters (hops, decisions, drops, worker parks — always live) and
+/// occupancy gauges (subscribed channels, workers, parked channels, queued
+/// hops).
 struct ServiceInstruments {
     hop_ns: cfd_telemetry::Histogram,
     queue_wait_ns: cfd_telemetry::Histogram,
     hops: cfd_telemetry::Counter,
     decisions: cfd_telemetry::Counter,
     drops: cfd_telemetry::Counter,
+    worker_parks: cfd_telemetry::Counter,
     channels: cfd_telemetry::Gauge,
     workers: cfd_telemetry::Gauge,
     parked: cfd_telemetry::Gauge,
@@ -130,6 +140,7 @@ fn instruments() -> &'static ServiceInstruments {
         hops: cfd_telemetry::counter("service.hops"),
         decisions: cfd_telemetry::counter("service.decisions"),
         drops: cfd_telemetry::counter("service.drops"),
+        worker_parks: cfd_telemetry::counter("service.worker_parks"),
         channels: cfd_telemetry::gauge("service.channels"),
         workers: cfd_telemetry::gauge("service.workers"),
         parked: cfd_telemetry::gauge("service.parked"),
@@ -226,9 +237,15 @@ impl DecisionLog {
         DecisionLog::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, Vec<Decision>> {
+        // No code panics while holding a log lock, so a poisoned log still
+        // holds consistent state.
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Decisions recorded so far.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("decision log poisoned").len()
+        self.lock().len()
     }
 
     /// Whether no decision has been recorded yet.
@@ -238,16 +255,13 @@ impl DecisionLog {
 
     /// Takes the recorded decisions, leaving the log empty.
     pub fn take(&self) -> Vec<Decision> {
-        std::mem::take(&mut *self.inner.lock().expect("decision log poisoned"))
+        std::mem::take(&mut *self.lock())
     }
 }
 
 impl DecisionSink for DecisionLog {
     fn on_decision(&mut self, _channel: ChannelId, decision: &Decision) {
-        self.inner
-            .lock()
-            .expect("decision log poisoned")
-            .push(decision.clone());
+        self.lock().push(decision.clone());
     }
 }
 
@@ -346,20 +360,32 @@ struct QueueState {
     closed: bool,
 }
 
-/// The bounded MPMC ingress queue of one worker shard, with explicit
-/// backpressure: a `Mutex` + `Condvar` queue with capacity, drop-oldest
-/// shedding and buffer recycling.
+/// Whether a scheduler's workers poll their empty queues before parking:
+/// only while they leave a core of the host free, so a polling worker
+/// never takes a core a producer or another worker needs.
+fn workers_poll(workers: usize, cores: usize) -> bool {
+    workers < cores
+}
+
+/// The bounded MPSC ingress queue of one worker shard, with explicit
+/// backpressure: capacity, drop-oldest shedding and buffer recycling.
+/// Producers park on `not_full` at once (they are the caller's threads);
+/// the worker waits on `not_empty`, which polls before parking when the
+/// scheduler's workers leave a core free ([`workers_poll`]).
 struct IngressQueue {
     state: Mutex<QueueState>,
     not_full: Condvar,
-    not_empty: Condvar,
+    /// Raised by every push and by `close`, lowered by the drain that
+    /// empties an open queue — so a closed queue stays raised and ends a
+    /// polling worker at once.
+    not_empty: lanes::Signal,
     capacity: usize,
     policy: Backpressure,
     drops: AtomicU64,
 }
 
 impl IngressQueue {
-    fn new(capacity: usize, policy: Backpressure) -> Self {
+    fn new(capacity: usize, policy: Backpressure, worker_polls: bool) -> Self {
         IngressQueue {
             state: Mutex::new(QueueState {
                 items: VecDeque::with_capacity(capacity),
@@ -367,20 +393,23 @@ impl IngressQueue {
                 closed: false,
             }),
             not_full: Condvar::new(),
-            not_empty: Condvar::new(),
+            not_empty: lanes::Signal::new(worker_polls),
             capacity,
             policy,
             drops: AtomicU64::new(0),
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        // No code panics while holding the queue lock, so a poisoned queue
+        // still holds consistent state.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Applies the backpressure policy until a slot is free: blocks, or
     /// sheds the oldest queued **hop** (park controls survive; if only
     /// controls are queued, even `DropOldest` blocks).
-    fn make_room<'a>(
-        &self,
-        mut state: std::sync::MutexGuard<'a, QueueState>,
-    ) -> std::sync::MutexGuard<'a, QueueState> {
+    fn make_room<'a>(&self, mut state: MutexGuard<'a, QueueState>) -> MutexGuard<'a, QueueState> {
         while state.items.len() >= self.capacity {
             let shed = match self.policy {
                 Backpressure::Block => None,
@@ -397,15 +426,19 @@ impl IngressQueue {
                     self.drops.fetch_add(1, Ordering::Relaxed);
                     instruments().drops.increment();
                 }
-                None => state = self.not_full.wait(state).expect("ingress queue poisoned"),
+                None => {
+                    state = self
+                        .not_full
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner)
+                }
             }
         }
         state
     }
 
     fn push_hop(&self, channel: ChannelId, samples: &[Cplx], occupancy: &AtomicU64) {
-        let state = self.state.lock().expect("ingress queue poisoned");
-        let mut state = self.make_room(state);
+        let mut state = self.make_room(self.lock());
         let mut buffer = state.pool.pop().unwrap_or_default();
         buffer.clear();
         buffer.extend_from_slice(samples);
@@ -413,58 +446,62 @@ impl IngressQueue {
             channel,
             samples: buffer,
         });
-        drop(state);
-        instruments()
-            .queue_occupancy
-            .set(occupancy.fetch_add(1, Ordering::Relaxed) as f64 + 1.0);
-        self.not_empty.notify_one();
+        Self::count_pushed(occupancy);
+        self.not_empty.raise(state);
     }
 
     fn push_park(&self, channel: ChannelId, occupancy: &AtomicU64) {
-        let state = self.state.lock().expect("ingress queue poisoned");
-        let mut state = self.make_room(state);
+        let mut state = self.make_room(self.lock());
         state.items.push_back(IngressItem::Park { channel });
-        drop(state);
+        Self::count_pushed(occupancy);
+        self.not_empty.raise(state);
+    }
+
+    /// Counts one queued item, under the queue lock: the worker that
+    /// drains it subtracts it only after taking that lock, so the shared
+    /// occupancy never dips below zero.
+    fn count_pushed(occupancy: &AtomicU64) {
         instruments()
             .queue_occupancy
             .set(occupancy.fetch_add(1, Ordering::Relaxed) as f64 + 1.0);
-        self.not_empty.notify_one();
     }
 
-    /// Blocks until at least one item is queued, then drains the whole
+    /// Waits until at least one item is queued (polling first when the
+    /// workers leave a core free, then parking), then drains the whole
     /// queue into `batch` (arrival order preserved) under one lock.
     /// Returns `false` once the queue is closed **and** drained (workers
     /// always finish in-flight work).
     ///
     /// Draining in batches is what makes the worker's channel coalescing
-    /// possible (see [`worker_loop`]) and amortises the lock/condvar
-    /// traffic over the whole batch instead of paying it per hop.
+    /// possible (see [`worker_loop`]) and takes the lock once per batch
+    /// instead of once per hop.
     fn drain_into(&self, occupancy: &AtomicU64, batch: &mut Vec<IngressItem>) -> bool {
         debug_assert!(batch.is_empty(), "workers fully consume each batch");
-        let mut state = self.state.lock().expect("ingress queue poisoned");
-        loop {
-            if !state.items.is_empty() {
-                batch.extend(state.items.drain(..));
-                drop(state);
-                let drained = batch.len() as u64;
-                instruments()
-                    .queue_occupancy
-                    .set(occupancy.fetch_sub(drained, Ordering::Relaxed) as f64 - drained as f64);
-                self.not_full.notify_all();
-                return true;
-            }
-            if state.closed {
-                return false;
-            }
-            state = self.not_empty.wait(state).expect("ingress queue poisoned");
+        let (mut state, parked) = self.not_empty.wait(&self.state);
+        if parked {
+            instruments().worker_parks.increment();
         }
+        if state.closed && state.items.is_empty() {
+            return false;
+        }
+        batch.extend(state.items.drain(..));
+        if !state.closed {
+            self.not_empty.lower();
+        }
+        drop(state);
+        let drained = batch.len() as u64;
+        instruments()
+            .queue_occupancy
+            .set(occupancy.fetch_sub(drained, Ordering::Relaxed) as f64 - drained as f64);
+        self.not_full.notify_all();
+        true
     }
 
     /// Returns a batch of processed hop buffers to the pool under one
     /// lock (the pool stays bounded by the queue capacity so a burst
     /// cannot grow it without bound).
     fn recycle_all(&self, buffers: &mut Vec<Vec<Cplx>>) {
-        let mut state = self.state.lock().expect("ingress queue poisoned");
+        let mut state = self.lock();
         for mut buffer in buffers.drain(..) {
             if state.pool.len() < self.capacity {
                 buffer.clear();
@@ -474,8 +511,9 @@ impl IngressQueue {
     }
 
     fn close(&self) {
-        self.state.lock().expect("ingress queue poisoned").closed = true;
-        self.not_empty.notify_all();
+        let mut state = self.lock();
+        state.closed = true;
+        self.not_empty.raise(state);
         self.not_full.notify_all();
     }
 }
@@ -702,19 +740,21 @@ impl ServiceBuilder {
             occupancy: AtomicU64::new(0),
             parked: AtomicU64::new(0),
         });
+        let worker_polls = workers_poll(config.workers, lanes::host_cores());
         let mut queues = Vec::with_capacity(config.workers);
         let mut handles = Vec::with_capacity(config.workers);
         for shard_subscriptions in sharded {
             let queue = Arc::new(IngressQueue::new(
                 config.queue_capacity,
                 config.backpressure,
+                worker_polls,
             ));
             let worker_queue = Arc::clone(&queue);
             let worker_shared = Arc::clone(&shared);
             handles.push(thread::spawn(move || {
                 // The workers already occupy the host's cores: their
                 // backends' fan-outs stay on them.
-                cfd_dsp::lanes::enter_pool_worker();
+                lanes::enter_pool_worker();
                 worker_loop(&worker_queue, shard_subscriptions, &worker_shared)
             }));
             queues.push(queue);
@@ -875,6 +915,7 @@ mod tests {
     use cfd_dsp::detector::CyclostationaryDetector;
     use cfd_dsp::scf::ScfParams;
     use cfd_dsp::signal::awgn;
+    use std::time::{Duration, Instant};
 
     fn params() -> ScfParams {
         ScfParams::new(32, 7, 4).unwrap()
@@ -1043,7 +1084,8 @@ mod tests {
 
     #[test]
     fn a_non_finite_hop_fails_its_channel_and_spares_the_shard() {
-        let (poisoned, healthy) = (DecisionLog::new(), DecisionLog::new());
+        let (poisoned, healthy, overflowing) =
+            (DecisionLog::new(), DecisionLog::new(), DecisionLog::new());
         let subscription = |channel, log: &DecisionLog| {
             ChannelSubscription::new(
                 channel,
@@ -1056,15 +1098,20 @@ mod tests {
         let scheduler = SensingScheduler::builder(ServiceConfig::new(1))
             .subscribe(subscription(9, &poisoned))
             .subscribe(subscription(4, &healthy))
+            .subscribe(subscription(12, &overflowing))
             .spawn()
             .unwrap();
         for hop in 0..6u64 {
             let mut samples = awgn(32, 1.0, hop);
+            let mut huge = awgn(32, 1.0, 20 + hop);
             if hop == 4 {
                 samples[3] = Cplx::new(0.0, f64::INFINITY);
+                // Finite, but its DSCF would overflow.
+                huge.iter_mut().for_each(|x| *x = *x * 1e200);
             }
             scheduler.push(9, &samples).unwrap();
             scheduler.push(4, &awgn(32, 1.0, 10 + hop)).unwrap();
+            scheduler.push(12, &huge).unwrap();
         }
         let error = scheduler.join().unwrap_err();
         assert!(matches!(
@@ -1072,8 +1119,99 @@ mod tests {
             CfdError::Dsp(cfd_dsp::error::DspError::NonFiniteSample { index: 3 })
         ));
         // Hops 0..=3 decided once before the rejected hop failed the
-        // channel; the healthy one kept deciding (6 blocks, window 4 -> 3).
+        // channel (the overflowing one likewise, its error ranked after
+        // channel 9's); the healthy one kept deciding (6 blocks, window
+        // 4 -> 3).
         assert_eq!(poisoned.len(), 1);
+        assert_eq!(overflowing.len(), 1);
         assert_eq!(healthy.len(), 3);
+    }
+
+    /// The lanes' poll bound (`cfd_dsp::lanes`), which the worker's wait
+    /// on its queue shares.
+    const SPIN: Duration = Duration::from_micros(500);
+
+    fn one_channel_scheduler(log: &DecisionLog) -> SensingScheduler {
+        SensingScheduler::builder(ServiceConfig::new(1))
+            .subscribe(ChannelSubscription::new(
+                1,
+                StreamingConfig::new(params()),
+                recipe(),
+                log.clone(),
+            ))
+            .spawn()
+            .unwrap()
+    }
+
+    #[test]
+    fn workers_poll_only_while_they_leave_a_core_free() {
+        assert!(workers_poll(1, 2));
+        assert!(workers_poll(3, 8));
+        assert!(!workers_poll(1, 1));
+        assert!(!workers_poll(2, 2));
+        assert!(!workers_poll(4, 2));
+    }
+
+    /// Hops pushed after idle gaps spread around the poll bound land
+    /// while the worker polls, as it stops polling, or once it has
+    /// parked: a lost wake-up would leave a hop undecided or hang `join`.
+    #[test]
+    fn hops_pushed_around_the_poll_bound_all_decide() {
+        let log = DecisionLog::new();
+        let scheduler = one_channel_scheduler(&log);
+        let gaps = [SPIN / 2, SPIN, SPIN * 2];
+        let mut pushed = 0;
+        for round in 0..4u64 {
+            for (i, gap) in gaps.iter().enumerate() {
+                std::thread::sleep(*gap);
+                scheduler
+                    .push(1, &awgn(32, 1.0, round * 10 + i as u64))
+                    .unwrap();
+                pushed += 1;
+            }
+        }
+        let report = scheduler.join().unwrap();
+        assert_eq!(report.hops, pushed);
+        // Window 4: every hop from the fourth on decides.
+        assert_eq!(report.decisions, pushed - 3);
+        assert_eq!(log.len() as u64, pushed - 3);
+    }
+
+    /// `close` raises the worker's signal, so a polling worker ends at
+    /// once instead of polling out its bound. A preempted thread can slow
+    /// any one join on a busy host, so the test needs one prompt join in
+    /// up to 20 tries.
+    #[test]
+    fn joining_an_idle_polling_scheduler_is_prompt() {
+        let mut fastest = Duration::MAX;
+        for round in 0..20u64 {
+            let log = DecisionLog::new();
+            let scheduler = one_channel_scheduler(&log);
+            for hop in 0..4u64 {
+                scheduler.push(1, &awgn(32, 1.0, round * 10 + hop)).unwrap();
+            }
+            // The worker has decided and is about to wait again.
+            while log.is_empty() {
+                std::thread::yield_now();
+            }
+            let start = Instant::now();
+            scheduler.join().unwrap();
+            fastest = fastest.min(start.elapsed());
+            if fastest < SPIN / 2 {
+                return;
+            }
+        }
+        panic!("fastest join {fastest:?}");
+    }
+
+    #[test]
+    fn a_worker_idle_past_the_poll_bound_parks() {
+        let parks = || cfd_telemetry::counter("service.worker_parks").value();
+        let before = parks();
+        let log = DecisionLog::new();
+        let scheduler = one_channel_scheduler(&log);
+        std::thread::sleep(SPIN * 20);
+        scheduler.join().unwrap();
+        assert!(parks() > before);
     }
 }

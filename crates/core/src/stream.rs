@@ -69,7 +69,7 @@ use crate::backend::{Decision, Observation, SensingBackend};
 use crate::error::CfdError;
 use cfd_dsp::complex::Cplx;
 use cfd_dsp::error::DspError;
-use cfd_dsp::scf::{ScfAccumulator, ScfEngine, ScfParams};
+use cfd_dsp::scf::{check_spectrum_bound, ScfAccumulator, ScfEngine, ScfParams};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -418,6 +418,12 @@ impl<B: SensingBackend> StreamingSensor<B> {
     ///   is NaN or infinite, with its index in `samples`: the whole hop is
     ///   rejected, the sensor state is unchanged, and the next finite hop
     ///   continues as if the rejected one had never been pushed;
+    /// * [`DspError::SpectrumOverflow`] (in [`CfdError::Dsp`]) if a block
+    ///   of finite samples has a spectrum too large for a finite DSCF
+    ///   ([`check_spectrum_bound`]; `block` counts blocks since the last
+    ///   warm-up began): the window is torn by then, so the sensor parks
+    ///   itself ([`StreamingSensor::park`]) and the next finite hop starts
+    ///   a fresh warm-up;
     /// * backend and DSP errors otherwise; the sensor state is unchanged
     ///   for the samples not yet consumed.
     pub fn push_into(&mut self, samples: &[Cplx], out: &mut Vec<Decision>) -> Result<(), CfdError> {
@@ -546,6 +552,13 @@ impl<B: SensingBackend> StreamingSensor<B> {
         let block_samples = self.tape.slice(self.next_block * hop, k);
         self.engine
             .block_spectrum_into(block_samples, 0, &mut self.ring[slot])?;
+        // Finite but huge samples would integrate into a NaN or zero
+        // statistic that reads as "band vacant". The outgoing block is
+        // already retired, so the window cannot be kept: start over.
+        if let Err(error) = check_spectrum_bound(&self.ring[slot], i) {
+            self.park();
+            return Err(error.into());
+        }
 
         // 3. Re-phase the incoming block into the absolute-time frame and
         //    cache its contribution plane for a later O(grid) retire.
@@ -714,6 +727,45 @@ mod tests {
             assert_eq!(got, statistics(twin.push(&samples).unwrap()), "hop {hop}");
         }
         assert_eq!(rejecting.decisions_emitted(), 9);
+    }
+
+    #[test]
+    fn an_overflowing_hop_is_refused_and_parks_the_sensor() {
+        let params = ScfParams::new(32, 7, 4).unwrap();
+        let sensor = || {
+            let backend = CyclostationaryDetector::new(params.clone(), 0.35, 1).unwrap();
+            StreamingSensor::new(StreamingConfig::new(params.clone()), backend).unwrap()
+        };
+        let statistics =
+            |d: Vec<Decision>| d.iter().map(|d| d.statistic.to_bits()).collect::<Vec<_>>();
+        for scale in [1e150, 1e200, 1e300] {
+            // From cold, and mid-stream between two incremental hops.
+            for at in [0u64, 6] {
+                let mut refusing = sensor();
+                for hop in 0..at {
+                    refusing.push(&awgn(32, 1.0, hop)).unwrap();
+                }
+                let huge: Vec<Cplx> = awgn(32, 1.0, 99).iter().map(|x| *x * scale).collect();
+                assert!(
+                    matches!(
+                        refusing.push(&huge),
+                        Err(CfdError::Dsp(DspError::SpectrumOverflow { .. }))
+                    ),
+                    "scale {scale}, hop {at}"
+                );
+                assert_eq!(refusing.blocks_ingested(), 0, "parked");
+                // The next finite hops re-warm like a fresh sensor.
+                let mut fresh = sensor();
+                for hop in 20..28u64 {
+                    let samples = awgn(32, 1.0, hop);
+                    assert_eq!(
+                        statistics(refusing.push(&samples).unwrap()),
+                        statistics(fresh.push(&samples).unwrap()),
+                        "scale {scale}, hop {at}, then {hop}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

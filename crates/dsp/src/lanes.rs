@@ -9,9 +9,10 @@
 //!
 //! The helpers are started on the first fan-out that could use them.
 //! After each job a helper polls for the next one for a short, bounded
-//! time and then parks. The DSCF row bands, the fusion members and the
-//! sweep cells all use this one budget; three rules keep it from being
-//! oversubscribed:
+//! time and then parks ([`Signal`], the process's one poll-then-park
+//! wait, which the sensing scheduler's ingress queues use too). The DSCF
+//! row bands, the fusion members and the sweep cells all use this one
+//! budget; three rules keep it from being oversubscribed:
 //!
 //! * a fan-out claims only helpers that are idle, so concurrent callers
 //!   split the helpers between them instead of queueing on them;
@@ -37,15 +38,22 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How long a helper polls for its next job, and a caller for its
-/// helpers' completion, before parking on a condition variable. Measured
-/// on a 2-core Xeon (AVX-512, rustc 1.95.0): an empty two-task fan-out
-/// costs about 1 µs while the helper is still polling, but 40–50 µs when
-/// it has to be woken. In a traced wideband roster the fan-outs of a
-/// trial (the CFD fold, then the fusion members) are 17–55 µs apart, plus
-/// about 180 µs of FFTs before the next trial's fold, so a 500 µs bound
-/// keeps the helper warm from one fan-out to the next while an idle
-/// process parks it within a millisecond.
+/// How long a polling [`Signal::wait`] polls before parking on its
+/// condition variable. Measured on a 2-core Xeon (AVX-512, rustc 1.95.0):
+///
+/// * lanes — an empty two-task fan-out costs about 1 µs while the helper
+///   is still polling, but 40–50 µs when it has to be woken. In a traced
+///   wideband roster the fan-outs of a trial (the CFD fold, then the
+///   fusion members) are 17–55 µs apart, plus about 180 µs of FFTs before
+///   the next trial's fold;
+/// * the scheduler's ingress queue — at 25 000 hops/s hops reach a lone
+///   worker 40 µs apart, and a parked worker paid a futex wake-up on
+///   nearly every one: in five traced 20 s `service-dense` pairs, polling
+///   cut the worker's queue wait p50 from a median of 20.9 to 14.0 µs
+///   and the producer's push p99 from 3.7 to 2.1 µs.
+///
+/// So 500 µs keeps a waiter warm across both gaps while an idle process
+/// parks it within a millisecond.
 const SPIN: Duration = Duration::from_micros(500);
 
 /// A job as a helper sees it: run lane `lane` of the current fan-out.
@@ -139,9 +147,9 @@ pub fn fan_out(tasks: usize, work: impl Fn(usize, usize) + Sync) -> usize {
     let job: &(dyn Fn(usize) + Sync) = &lane;
     // SAFETY: the helpers read `job` — and through it `work`, `next` and
     // `tasks` on this stack frame — only between taking it from their
-    // slot and signalling `done` under the slot lock; that signal is the
+    // slot and raising `job_done` under the slot lock; that raise is the
     // job's last touch of borrowed state. From here on this function
-    // cannot return or unwind before it has seen `done` from every
+    // cannot return or unwind before it has seen `job_done` from every
     // claimed helper: posting and waiting never panic (poisoned locks are
     // recovered, and nothing panics while a slot lock is held), the
     // caller's own lane runs under `catch_unwind`, and a panic from any
@@ -197,11 +205,10 @@ fn pool() -> &'static [Helper] {
                 .map(|lane| Helper {
                     lane,
                     idle: AtomicBool::new(true),
-                    posted: AtomicBool::new(false),
-                    finished: AtomicBool::new(false),
                     slot: Mutex::new(Slot::default()),
-                    job_ready: Condvar::new(),
-                    job_done: Condvar::new(),
+                    // Helpers exist only on a host with a spare core.
+                    job_ready: Signal::new(true),
+                    job_done: Signal::new(true),
                 })
                 .collect(),
         );
@@ -218,9 +225,8 @@ fn pool() -> &'static [Helper] {
     })
 }
 
-/// One helper thread's mailbox. The slot mutex carries the job and its
-/// outcome; the `posted` / `finished` flags only let either side poll
-/// without taking the lock, so they publish nothing and are `Relaxed`.
+/// One helper thread's mailbox: the slot carries the job and its
+/// outcome, `job_ready` and `job_done` hand them across.
 struct Helper {
     /// This helper's lane index in every fan-out it joins.
     lane: usize,
@@ -229,20 +235,17 @@ struct Helper {
     /// returns always leaves its helpers claimable. The claim's `Acquire`
     /// pairs with the release's `Release`.
     idle: AtomicBool,
-    posted: AtomicBool,
-    finished: AtomicBool,
     slot: Mutex<Slot>,
-    job_ready: Condvar,
-    job_done: Condvar,
+    /// Raised when a job is posted; the helper waits on it.
+    job_ready: Signal,
+    /// Raised when the job has finished; the fan-out waits on it.
+    job_done: Signal,
 }
 
 #[derive(Default)]
 struct Slot {
     job: Option<&'static Job>,
-    done: bool,
     panic: Option<Box<dyn Any + Send>>,
-    helper_parked: bool,
-    caller_parked: bool,
 }
 
 impl Helper {
@@ -262,29 +265,14 @@ impl Helper {
     fn post(&self, job: &'static Job) {
         let mut slot = self.lock();
         slot.job = Some(job);
-        self.posted.store(true, Ordering::Relaxed);
-        let parked = slot.helper_parked;
-        drop(slot);
-        if parked {
-            self.job_ready.notify_one();
-        }
+        self.job_ready.raise(slot);
     }
 
     /// Waits until the posted job has finished, releases the claim and
     /// returns the job's panic payload, if any.
     fn wait(&self) -> Option<Box<dyn Any + Send>> {
-        poll(&self.finished);
-        let mut slot = self.lock();
-        while !slot.done {
-            slot.caller_parked = true;
-            slot = self
-                .job_done
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        slot.caller_parked = false;
-        slot.done = false;
-        self.finished.store(false, Ordering::Relaxed);
+        let (mut slot, _) = self.job_done.wait(&self.slot);
+        self.job_done.lower();
         let payload = slot.panic.take();
         drop(slot);
         self.idle.store(true, Ordering::Release);
@@ -295,45 +283,152 @@ impl Helper {
     fn serve(&self) {
         SERIAL.with(|serial| serial.set(true));
         loop {
-            poll(&self.posted);
             let job = {
-                let mut slot = self.lock();
-                let job = loop {
-                    if let Some(job) = slot.job.take() {
-                        break job;
-                    }
-                    slot.helper_parked = true;
-                    slot = self
-                        .job_ready
-                        .wait(slot)
-                        .unwrap_or_else(PoisonError::into_inner);
-                };
-                slot.helper_parked = false;
-                self.posted.store(false, Ordering::Relaxed);
-                job
+                let (mut slot, _) = self.job_ready.wait(&self.slot);
+                self.job_ready.lower();
+                slot.job.take()
             };
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| job(self.lane)));
-            let mut slot = self.lock();
-            slot.panic = outcome.err();
-            slot.done = true;
-            self.finished.store(true, Ordering::Relaxed);
-            if slot.caller_parked {
-                self.job_done.notify_one();
+            // A raised `job_ready` always carries a job.
+            if let Some(job) = job {
+                let outcome = panic::catch_unwind(AssertUnwindSafe(|| job(self.lane)));
+                let mut slot = self.lock();
+                slot.panic = outcome.err();
+                self.job_done.raise(slot);
             }
         }
     }
 }
 
-/// Polls `flag` for up to [`SPIN`]; the caller then takes the lock and
-/// parks if the flag was not seen.
-fn poll(flag: &AtomicBool) {
-    let start = Instant::now();
-    let mut spins = 0u32;
-    while !flag.load(Ordering::Relaxed) {
-        std::hint::spin_loop();
-        spins = spins.wrapping_add(1);
-        if spins.is_multiple_of(64) && start.elapsed() >= SPIN {
-            return;
+/// A one-waiter handoff flag with a bounded poll-then-park wait: the one
+/// wait primitive of the process's thread pools (the lane helpers and
+/// their callers here, the sensing scheduler's workers on their ingress
+/// queues).
+///
+/// The signal guards nothing itself: it pairs with a mutex the waiter and
+/// the raisers share, and [`raise`](Signal::raise), the lock-taking part
+/// of [`wait`](Signal::wait) and [`lower`](Signal::lower) all run under
+/// that one mutex. The flag is also read without the lock — the poll —
+/// which only decides when to take the lock, so every flag access is
+/// `Relaxed` and the mutex publishes the data it guards.
+///
+/// Two rules keep a handoff cheap:
+///
+/// * a waiter built with `poll = true` polls the flag for up to a fixed
+///   500 µs bound before it parks, so a handoff that arrives while it
+///   polls costs no wake-up;
+/// * a raiser notifies the condition variable only when the waiter is
+///   actually parked.
+///
+/// Build a polling signal only where the waiter does not take a core
+/// another thread needs: a polling waiter burns its core for the bound.
+#[derive(Debug)]
+pub struct Signal {
+    poll: bool,
+    raised: AtomicBool,
+    /// Written by the waiter and read by raisers, only under the mutex.
+    parked: AtomicBool,
+    wake: Condvar,
+}
+
+impl Signal {
+    /// A lowered signal whose waiter polls before parking when `poll`
+    /// holds and parks at once otherwise.
+    pub fn new(poll: bool) -> Self {
+        Signal {
+            poll,
+            raised: AtomicBool::new(false),
+            parked: AtomicBool::new(false),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Raises the signal under `guard` (the shared mutex's lock), releases
+    /// the lock and wakes the waiter if it is parked. The signal stays
+    /// raised until the waiter lowers it.
+    pub fn raise<T>(&self, guard: MutexGuard<'_, T>) {
+        self.raised.store(true, Ordering::Relaxed);
+        let parked = self.parked.load(Ordering::Relaxed);
+        drop(guard);
+        if parked {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Waits until the signal is raised and returns the lock of `mutex`
+    /// with the signal still raised, plus whether the wait parked. Polls
+    /// first if the signal was built to, so a raise in the meantime costs
+    /// no wake-up. A poisoned `mutex` is recovered: the users of a signal
+    /// never panic while holding its mutex.
+    ///
+    /// Only one thread may wait on a signal.
+    pub fn wait<'a, T>(&self, mutex: &'a Mutex<T>) -> (MutexGuard<'a, T>, bool) {
+        if self.poll {
+            let start = Instant::now();
+            let mut spins = 0u32;
+            while !self.raised.load(Ordering::Relaxed) {
+                std::hint::spin_loop();
+                spins = spins.wrapping_add(1);
+                if spins.is_multiple_of(64) && start.elapsed() >= SPIN {
+                    break;
+                }
+            }
+        }
+        let mut guard = mutex.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut parked = false;
+        while !self.raised.load(Ordering::Relaxed) {
+            parked = true;
+            self.parked.store(true, Ordering::Relaxed);
+            guard = self
+                .wake
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if parked {
+            self.parked.store(false, Ordering::Relaxed);
+        }
+        (guard, parked)
+    }
+
+    /// Lowers the signal. Call it under the shared mutex's lock, once the
+    /// waiter has taken what the raise handed over.
+    pub fn lower(&self) {
+        self.raised.store(false, Ordering::Relaxed);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    /// Ping-pong over two signals sharing one mutex, with the pings sent
+    /// after sleeps spread around the poll bound: each lands while the
+    /// waiter polls, as it stops polling, or once it has parked. A lost
+    /// wake-up would hang the test.
+    #[test]
+    fn every_raise_reaches_the_waiter_around_the_poll_bound() {
+        let gaps = [Duration::ZERO, SPIN / 2, SPIN, SPIN * 2, SPIN / 2, SPIN * 2];
+        for poll in [true, false] {
+            let shared = Arc::new((Mutex::new(0u32), Signal::new(poll), Signal::new(poll)));
+            let echo = Arc::clone(&shared);
+            let waiter = std::thread::spawn(move || {
+                let (count, ping, pong) = &*echo;
+                for _ in 0..gaps.len() {
+                    let (mut count_guard, _) = ping.wait(count);
+                    ping.lower();
+                    *count_guard += 1;
+                    pong.raise(count_guard);
+                }
+            });
+            let (count, ping, pong) = &*shared;
+            for (round, gap) in gaps.iter().enumerate() {
+                std::thread::sleep(*gap);
+                ping.raise(count.lock().unwrap());
+                let (count_guard, _) = pong.wait(count);
+                pong.lower();
+                assert_eq!(*count_guard, round as u32 + 1, "poll {poll}");
+            }
+            waiter.join().unwrap();
         }
     }
 }
